@@ -53,8 +53,10 @@ from .partial_conjunction import (
     fixed_subset_combiner,
     gbhpc_enumerate,
     pc_curve,
+    select_construction,
     structured_gbhpc,
     structured_subset_combiner,
+    weighted_subset_combiner,
 )
 from .simulation import PowerGrid, SimConfig, draw_study_pvalues, run_power_map
 
@@ -102,10 +104,12 @@ __all__ = [
     "region_phi_prime",
     "region_phi_tilde",
     "run_power_map",
+    "select_construction",
     "slice_validity",
     "std_normal_quantile",
     "std_normal_sf",
     "structured_gbhpc",
     "structured_subset_combiner",
     "tpm_mc_cdf",
+    "weighted_subset_combiner",
 ]

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .combiners import CombinerSpec, fisher_exact_2x2
+from .combiners import CombinerSpec, combine, fisher_exact_2x2
 from .counterexample import TEST_NAMES, power_grid_2d
 from .errors import (
     InputValidationError,
@@ -31,8 +31,9 @@ from .oracle import NullConfig, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
     bhpc,
     fixed_subset_combiner,
-    gbhpc_enumerate,
     pc_curve,
+    select_construction,
+    weighted_subset_combiner,
 )
 from .simulation import METHOD_NAMES, SimConfig, run_power_map
 
@@ -76,8 +77,6 @@ def cmd_combine(args) -> int:
     records, ps = _load_input(args.input)
     weights = _weights_for(args, records) if args.method == "stouffer" else None
     spec = _build_spec(args.method, args.gamma, weights)
-    from .combiners import combine
-
     result = combine(spec, ps)
     if args.json:
         print(pio.json_dumps({
@@ -98,40 +97,31 @@ def cmd_pc(args) -> int:
     if args.groups:
         kwargs["groups"] = pio.partition_from_records(records)
     elif args.method == "stouffer":
-        weights = _weights_for(args, records)
-
-        def factory(u):
-            spec = CombinerSpec(
-                "stouffer_weighted", weights=tuple(weights[i] for i in u)
-            )
-            from .combiners import combine
-
-            return lambda p_u: combine(spec, p_u)
-
-        kwargs["g"] = factory
+        kwargs["g"] = weighted_subset_combiner(_weights_for(args, records))
     elif args.enumerate:
         kwargs["g"] = fixed_subset_combiner(_build_spec(args.method, args.gamma))
     else:
         kwargs["spec"] = _build_spec(args.method, args.gamma)
 
-    curve = pc_curve(ps, args.alpha, **kwargs)
     if args.r is not None:
+        method, evaluate = select_construction(ps, args.alpha, **kwargs)
         if not (1 <= args.r <= n):
             raise InputValidationError(f"--r must be in 1..{n}, got {args.r}")
-        entry = curve.entries[args.r - 1]
+        p = evaluate(args.r)
         if args.json:
             print(pio.json_dumps({
-                "method": curve.method,
+                "method": method,
                 "n": n,
-                "r": entry.r,
-                "p": entry.p.linear,
-                "log_p": entry.p.log_value,
-                "alpha": curve.alpha,
-                "rejected": entry.r in curve.confidence_set,
+                "r": args.r,
+                "p": p.linear,
+                "log_p": p.log_value,
+                "alpha": args.alpha,
+                "rejected": p.log_value <= math.log(args.alpha),
             }))
         else:
-            print(f"p_{{{entry.r}/{n}}} [{curve.method}]: {pio.format_prob(entry.p)}")
+            print(f"p_{{{args.r}/{n}}} [{method}]: {pio.format_prob(p)}")
         return 0
+    curve = pc_curve(ps, args.alpha, **kwargs)
     if args.json:
         print(pio.json_dumps(pio.curve_to_json_dict(curve)))
         return 0
@@ -265,8 +255,6 @@ def cmd_oracle_validity(args) -> int:
         spec = CombinerSpec("stouffer_weighted", weights=(1.0,) * k)
     else:
         spec = _build_spec(args.method, args.gamma)
-    from .combiners import combine
-
     if args.pc_r is None:
         rule = lambda ps: combine(spec, ps)
         label = args.method

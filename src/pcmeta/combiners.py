@@ -6,6 +6,12 @@ them are valid, monotone and sensitive for the global null under
 independent (or positively dependent, where applicable) inputs, and all
 arithmetic is done on log p-values.
 
+Fisher, Simes, Bonferroni and the weighted z-rule also have row-wise
+array forms (``log_*_rows``) that take a (rows, k) array of log
+p-values and agree with the scalar rules to roundoff, not bit for bit;
+subset enumeration uses them to screen subsets before rescoring the
+best with the scalar rules.
+
 ``fisher_exact_2x2`` produces the per-subgroup two-sided p-values used
 by the replicability pipeline when the input data are event counts.
 """
@@ -14,7 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
+from scipy import special
 
 from .errors import InputValidationError, NumericDomainError
 from .numerics import (
@@ -33,6 +42,10 @@ __all__ = [
     "SYMMETRIC_METHODS",
     "combine",
     "log_fisher",
+    "log_fisher_rows",
+    "log_simes_rows",
+    "log_bonferroni_rows",
+    "log_stouffer_rows",
     "combine_fisher",
     "combine_simes",
     "combine_bonferroni",
@@ -120,6 +133,49 @@ def log_fisher(log_ps: Sequence[float]) -> float:
         j * log_half - math.lgamma(j + 1) for j in range(len(log_ps))
     )
     return min(0.0, -half + log_series)
+
+
+def log_fisher_rows(log_p: np.ndarray) -> np.ndarray:
+    """``log_fisher`` of each row of a (rows, k) array of log p-values.
+
+    The log-sum-exp over the k Poisson terms is plain numpy, in the same
+    arithmetic as ``scipy.special.logsumexp`` (log1p of the terms below
+    the largest) without its temporaries.  Rows with a p of 0 give -inf
+    and rows of all ones give 0, as in ``log_fisher``.
+    """
+    js = np.arange(log_p.shape[1])
+    half = -log_p.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = js * np.log(half)[:, None] - special.gammaln(js + 1)
+        top = terms.max(axis=1, keepdims=True)
+        at_top = terms == top
+        count = at_top.sum(axis=1, keepdims=True)
+        below = np.exp(np.where(at_top, _NEG_INF, terms) - top)
+        rest = below.sum(axis=1, keepdims=True)
+        series = np.log1p(rest / count) + np.log(count) + top
+        out = np.minimum(0.0, -half + series[:, 0])
+    out[half == 0.0] = 0.0
+    out[half == np.inf] = _NEG_INF
+    return out
+
+
+def log_simes_rows(log_p: np.ndarray) -> np.ndarray:
+    """Row-wise Simes combination of a (rows, k) array of log p-values."""
+    k = log_p.shape[1]
+    scale = math.log(k) - np.log(np.arange(1, k + 1))
+    return np.minimum(0.0, (np.sort(log_p, axis=1) + scale).min(axis=1))
+
+
+def log_bonferroni_rows(log_p: np.ndarray) -> np.ndarray:
+    """Row-wise Bonferroni combination of a (rows, k) array of log p-values."""
+    return np.minimum(0.0, math.log(log_p.shape[1]) + log_p.min(axis=1))
+
+
+def log_stouffer_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise weighted z-rule from (rows, k) arrays of z_i = Phi^{-1}(1 - p_i)
+    and of their weights: log(1 - Phi(sum w_i z_i / sqrt(sum w_i^2)))."""
+    stat = (weights * z).sum(axis=1) / np.sqrt((weights * weights).sum(axis=1))
+    return special.log_ndtr(-stat)
 
 
 def combine_fisher(ps: Sequence[ProbValue]) -> ProbValue:
@@ -299,7 +355,3 @@ def fisher_exact_2x2(
     else:
         odds_ratio = odds_a / odds_b
     return FisherExactResult(odds_ratio, p)
-
-
-# Convenience alias used where a plain callable rule is expected.
-CombinerFn = Callable[[Sequence[ProbValue]], ProbValue]

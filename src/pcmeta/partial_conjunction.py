@@ -10,6 +10,11 @@ constructions are implemented:
   valid combiners g_u over all subsets u of size n-r+1.  Non-symmetric
   g_u (e.g. a weighted z-rule with weights bound to study indices) are
   expressed through a factory that receives the original indices.
+  The library factories ``fixed_subset_combiner`` (Fisher, Simes,
+  Bonferroni) and ``weighted_subset_combiner`` also carry an array
+  form, which screens subsets in chunks before the best are rescored
+  with the scalar rule, so the result stays exact; any other callable
+  factory, and TPM, runs the scalar loop over every subset.
 
 ``structured_gbhpc`` is the fast path for the grouped construction used
 on the anticoagulant subgroup data: within each independence block the
@@ -27,16 +32,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import chain, combinations, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .combiners import CombinerSpec, combine, log_fisher
+import numpy as np
+
+from .combiners import (
+    CombinerSpec,
+    combine,
+    combine_stouffer_weighted,
+    log_bonferroni_rows,
+    log_fisher,
+    log_fisher_rows,
+    log_simes_rows,
+    log_stouffer_rows,
+)
 from .errors import (
     EnumerationBudgetError,
     InputValidationError,
     NonConvergenceError,
 )
-from .numerics import ProbValue
+from .numerics import ProbValue, std_normal_quantile
 
 __all__ = [
     "GroupPartition",
@@ -45,16 +61,26 @@ __all__ = [
     "bhpc",
     "gbhpc_enumerate",
     "fixed_subset_combiner",
+    "weighted_subset_combiner",
     "structured_subset_combiner",
     "structured_gbhpc",
     "extract_component",
+    "select_construction",
     "pc_curve",
 ]
 
 SubsetCombiner = Callable[[Sequence[ProbValue]], ProbValue]
 SubsetCombinerFactory = Callable[[tuple[int, ...]], SubsetCombiner]
+# Approximate log g_u for each row of a (rows, |u|) matrix of study indices.
+RowKernel = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+# Subsets per array-kernel chunk: large enough to amortise numpy calls,
+# small enough that the chunk's temporaries stay a few hundred kB.
+_CHUNK_ROWS = 1024
+# Relative screening tolerance; the array kernels agree with the scalar
+# rules to ~1e-13 relative, so this is far above twice their roundoff.
+_SCREEN_RTOL = 1e-9
 # Entries per structured_subset_combiner memo: enough for every member
 # set of every block when n <= 14; a few MB at most.
 _BLOCK_FISHER_CACHE_SIZE = 1 << 14
@@ -159,6 +185,63 @@ def bhpc(
     return spec(_largest_tail(ps, r))
 
 
+class _ArrayFactory:
+    """A subset-combiner factory that can also score subsets in bulk.
+
+    Called with a subset it returns the scalar combiner, like any
+    factory.  ``bind(ps)`` returns a ``RowKernel`` for these p-values,
+    or None where the array form does not apply to them.
+    """
+
+    def __init__(
+        self,
+        scalar: SubsetCombinerFactory,
+        bind: Callable[[Sequence[ProbValue]], RowKernel | None],
+    ) -> None:
+        self._scalar = scalar
+        self.bind = bind
+
+    def __call__(self, u: tuple[int, ...]) -> SubsetCombiner:
+        return self._scalar(u)
+
+
+def _screen(
+    subsets: Iterator[tuple[int, ...]], size: int, kernel: RowKernel
+) -> list[tuple[int, ...]]:
+    """The subsets, in enumeration order, whose approximate log value is
+    within tol = 1e-9 * (1 + |M|) of the approximate maximum M.
+
+    Subsets are drawn in chunks of ``_CHUNK_ROWS`` index rows; the full
+    index matrix is never built.  When M = -inf only the first subset
+    is kept.
+    """
+    top = -math.inf
+    kept: list[tuple[float, tuple[int, ...]]] = []
+    while True:
+        flat = np.fromiter(
+            chain.from_iterable(islice(subsets, _CHUNK_ROWS)), dtype=np.intp
+        )
+        if flat.size == 0:
+            break
+        rows = flat.reshape(-1, size)
+        approx = kernel(rows)
+        chunk_top = float(approx.max())
+        if chunk_top == -math.inf:
+            if not kept:
+                kept.append((chunk_top, tuple(rows[0].tolist())))
+            continue
+        floor = max(top, chunk_top)
+        floor -= _SCREEN_RTOL * (1.0 + abs(floor))
+        if chunk_top > top:
+            top = chunk_top
+            kept = [c for c in kept if c[0] >= floor]
+        kept.extend(
+            (float(approx[i]), tuple(rows[i].tolist()))
+            for i in np.flatnonzero(approx >= floor)
+        )
+    return [u for _, u in kept]
+
+
 def gbhpc_enumerate(
     ps: Sequence[ProbValue],
     r: int,
@@ -169,7 +252,27 @@ def gbhpc_enumerate(
 
     ``g`` maps a subset (a tuple of original study indices, ascending)
     to the combiner applied to the corresponding p-values, so rules may
-    depend on the identity of the studies, never on sort rank.
+    depend on the identity of the studies, never on sort rank.  The
+    budget on C(n, r-1) is checked before any work.
+
+    Subsets are visited in ``itertools.combinations`` order and the
+    first subset attaining the maximum (strict ``>``) gives the result.
+    With a factory from ``fixed_subset_combiner`` (Fisher, Simes,
+    Bonferroni) or ``weighted_subset_combiner``, an array kernel first
+    scores subsets in chunks of ``_CHUNK_ROWS`` to approximate log
+    values, and only the subsets within tol = 1e-9 * (1 + |M|) of the
+    approximate maximum M are scored by the scalar rule, in enumeration
+    order with the same strict ``>``.  The kernels agree with the scalar
+    rules to far less than tol / 2, so every subset attaining the exact
+    maximum survives the screen, and the first of them is the one the
+    full scalar loop would return: the result is the same ``ProbValue``,
+    bit for bit.  A kernel value is -inf only where the scalar value is
+    -inf too (a subset holding a p of 0; for the weighted rule, only
+    past |z| ~ 1e154, i.e. log p below about -5e307), so when M = -inf
+    every subset ties and the first alone is scored.  TPM,
+    ``structured_subset_combiner`` and plain callables, and a weighted
+    rule with a p of 0 or 1 (which then raises as the scalar rule does),
+    take the scalar loop over every subset.
     """
     n = len(ps)
     _check_r(n, r)
@@ -178,23 +281,74 @@ def gbhpc_enumerate(
         raise EnumerationBudgetError(
             f"C({n}, {r - 1}) = {n_subsets} subsets exceeds budget {budget}"
         )
+    size = n - r + 1
+    subsets: Iterable[tuple[int, ...]] = combinations(range(n), size)
+    kernel = g.bind(ps) if isinstance(g, _ArrayFactory) else None
+    if kernel is not None:
+        subsets = _screen(subsets, size, kernel)
     best: ProbValue | None = None
-    for u in combinations(range(n), n - r + 1):
+    for u in subsets:
         value = g(u)([ps[i] for i in u])
         if best is None or value.log_value > best.log_value:
             best = value
     return best
 
 
+_ROW_FORMS = {
+    "fisher": log_fisher_rows,
+    "simes": log_simes_rows,
+    "bonferroni": log_bonferroni_rows,
+}
+
+
 def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
-    """Factory applying one symmetric rule to every subset."""
+    """Factory applying one symmetric rule to every subset.
+
+    Fisher, Simes and Bonferroni carry an array form for
+    ``gbhpc_enumerate``; TPM has none and is enumerated by the scalar
+    loop.
+    """
     if not spec.is_symmetric:
         raise InputValidationError("fixed_subset_combiner needs a symmetric rule")
 
     def factory(u: tuple[int, ...]) -> SubsetCombiner:
         return lambda p_u: combine(spec, p_u)
 
-    return factory
+    rows = _ROW_FORMS.get(spec.method)
+    if rows is None:
+        return factory
+
+    def bind(ps: Sequence[ProbValue]) -> RowKernel:
+        log_p = np.array([p.log_value for p in ps])
+        return lambda idx: rows(log_p[idx])
+
+    return _ArrayFactory(factory, bind)
+
+
+def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
+    """Factory for the weighted z-rule with weights bound to studies:
+    subset u is combined with the weights ``weights[i]`` for i in u.
+
+    The array form computes z_i = -Phi^{-1}(p_i) once per study with
+    the scalar ``std_normal_quantile``.  It declines when a p is 0 or 1,
+    so the scalar rule raises on them as it always has.
+    """
+    weights = tuple(float(w) for w in weights)
+    if not weights or not all(0.0 < w < math.inf for w in weights):
+        raise InputValidationError("weights must be finite and strictly positive")
+    w = np.array(weights)
+
+    def factory(u: tuple[int, ...]) -> SubsetCombiner:
+        w_u = [weights[i] for i in u]
+        return lambda p_u: combine_stouffer_weighted(p_u, w_u)
+
+    def bind(ps: Sequence[ProbValue]) -> RowKernel | None:
+        if any(p.is_zero or p.is_one for p in ps):
+            return None
+        z = np.array([-std_normal_quantile(p) for p in ps])
+        return lambda idx: log_stouffer_rows(z[idx], w[idx])
+
+    return _ArrayFactory(factory, bind)
 
 
 def _grouped_value(
@@ -324,6 +478,37 @@ def extract_component(
     return evaluator
 
 
+def select_construction(
+    ps: Sequence[ProbValue],
+    alpha: float,
+    *,
+    spec: CombinerSpec | None = None,
+    groups: GroupPartition | None = None,
+    g: SubsetCombinerFactory | None = None,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> tuple[str, Callable[[int], ProbValue]]:
+    """Check the inputs of a PC analysis and select its construction.
+
+    Returns the method label and the map r -> p_{r/n}.  Exactly one of
+    ``spec`` (drop-smallest with a symmetric combiner), ``groups``
+    (grouped fast path) or ``g`` (enumeration over subsets) selects the
+    construction.  Nothing is computed until the map is called.
+    """
+    n = len(ps)
+    if n < 1:
+        raise InputValidationError("need at least one study")
+    if not (0.0 < alpha < 1.0):
+        raise InputValidationError(f"alpha must be in (0, 1), got {alpha!r}")
+    selected = [x is not None for x in (spec, groups, g)]
+    if sum(selected) != 1:
+        raise InputValidationError("pass exactly one of spec=, groups=, g=")
+    if spec is not None:
+        return f"bhpc:{spec.method}", lambda r: bhpc(ps, r, spec)
+    if groups is not None:
+        return "gbhpc:structured", lambda r: structured_gbhpc(ps, r, groups)
+    return "gbhpc:enumerate", lambda r: gbhpc_enumerate(ps, r, g, budget=budget)
+
+
 def pc_curve(
     ps: Sequence[ProbValue],
     alpha: float,
@@ -335,26 +520,10 @@ def pc_curve(
 ) -> PcCurve:
     """PC p-values for every r = 1..n and the confidence set for r.
 
-    Exactly one of ``spec`` (drop-smallest with a symmetric combiner),
-    ``groups`` (grouped fast path) or ``g`` (enumeration over subsets)
-    selects the construction.
+    The construction is chosen by ``select_construction``.
     """
-    n = len(ps)
-    if n < 1:
-        raise InputValidationError("need at least one study")
-    if not (0.0 < alpha < 1.0):
-        raise InputValidationError(f"alpha must be in (0, 1), got {alpha!r}")
-    selected = [x is not None for x in (spec, groups, g)]
-    if sum(selected) != 1:
-        raise InputValidationError("pass exactly one of spec=, groups=, g=")
-    if spec is not None:
-        method = f"bhpc:{spec.method}"
-        evaluate = lambda r: bhpc(ps, r, spec)
-    elif groups is not None:
-        method = "gbhpc:structured"
-        evaluate = lambda r: structured_gbhpc(ps, r, groups)
-    else:
-        method = "gbhpc:enumerate"
-        evaluate = lambda r: gbhpc_enumerate(ps, r, g, budget=budget)
-    entries = tuple(PcEntry(r, evaluate(r)) for r in range(1, n + 1))
-    return PcCurve(n=n, method=method, alpha=alpha, entries=entries)
+    method, evaluate = select_construction(
+        ps, alpha, spec=spec, groups=groups, g=g, budget=budget
+    )
+    entries = tuple(PcEntry(r, evaluate(r)) for r in range(1, len(ps) + 1))
+    return PcCurve(n=len(ps), method=method, alpha=alpha, entries=entries)

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
+from .combiners import log_fisher_rows
 from .errors import InputValidationError
 from .numerics import ProbValue
 
@@ -133,21 +134,9 @@ def draw_study_pvalues(cfg: SimConfig, rng: np.random.Generator) -> list[ProbVal
     return [ProbValue.from_log(min(0.0, v)) for v in row]
 
 
-def _chisq_log_sf_rows(x: np.ndarray, dof: int) -> np.ndarray:
-    """Vector form of the even-dof chi-square upper tail, log scale."""
-    k = dof // 2
-    half = x / 2.0
-    with np.errstate(divide="ignore"):
-        log_half = np.log(half)
-    js = np.arange(k)
-    terms = js * log_half[:, None] - special.gammaln(js + 1)
-    return np.minimum(0.0, -half + special.logsumexp(terms, axis=1))
-
-
 def _reject_fisher_bhpc(log_p: np.ndarray, r: int, log_alpha: float) -> np.ndarray:
     kept = np.sort(log_p, axis=1)[:, r - 1 :]
-    stat = -2.0 * kept.sum(axis=1)
-    return _chisq_log_sf_rows(stat, 2 * kept.shape[1]) <= log_alpha
+    return log_fisher_rows(kept) <= log_alpha
 
 
 def _reject_simes_bhpc(log_p: np.ndarray, r: int, log_alpha: float) -> np.ndarray:

@@ -192,6 +192,29 @@ class TestPcCommand:
         code, _, err = run_cli(capsys, "pc", pvalue_csv, "--r", "99")
         assert code == 2 and "99" in json.loads(err)["message"]
 
+    def test_alpha_checked_before_r(self, pvalue_csv, capsys):
+        code, _, err = run_cli(capsys, "pc", pvalue_csv, "--r", "99", "--alpha", "2")
+        assert code == 2 and "alpha" in json.loads(err)["message"]
+
+    def test_single_r_computes_one_entry(self, pvalue_csv, capsys, monkeypatch):
+        from pcmeta import partial_conjunction
+
+        seen = []
+        enumerate_one = partial_conjunction.gbhpc_enumerate
+
+        def spy(ps, r, g, budget):
+            seen.append(r)
+            return enumerate_one(ps, r, g, budget)
+
+        monkeypatch.setattr(partial_conjunction, "gbhpc_enumerate", spy)
+        code, out, _ = run_cli(capsys, "pc", pvalue_csv, "--enumerate", "--r", "9",
+                               "--json")
+        assert code == 0 and seen == [9]
+        monkeypatch.undo()
+        _, out_curve, _ = run_cli(capsys, "pc", pvalue_csv, "--enumerate", "--json")
+        entry = json.loads(out_curve)["entries"][8]
+        assert json.loads(out)["log_p"] == entry["log_p"]
+
 
 class TestExact2x2Command:
     def test_rows_match_direct_calls(self, counts_csv, capsys):

@@ -17,9 +17,13 @@ from pcmeta.combiners import (
     combine_stouffer_weighted,
     combine_tpm,
     fisher_exact_2x2,
+    log_bonferroni_rows,
+    log_fisher_rows,
+    log_simes_rows,
+    log_stouffer_rows,
 )
 from pcmeta.errors import InputValidationError, NumericDomainError
-from pcmeta.numerics import ProbValue, chisq_sf
+from pcmeta.numerics import ProbValue, chisq_sf, std_normal_quantile
 from pcmeta.oracle import tpm_mc_cdf
 
 
@@ -225,6 +229,37 @@ class TestSharedInvariants:
                         got = combine(CombinerSpec(name), ps)
                     logs.append(got.log_value)
                 assert logs[0] > logs[1] > logs[2]
+
+    @pytest.mark.parametrize(
+        "method, rows",
+        [("fisher", log_fisher_rows), ("simes", log_simes_rows),
+         ("bonferroni", log_bonferroni_rows)],
+    )
+    def test_row_forms_match_scalar(self, method, rows):
+        # Roundoff agreement, with -inf (a p of 0) and 0 (all ones) exact.
+        rng = np.random.default_rng(37)
+        for k in range(1, 19):
+            vals = rng.random((40, k)) ** rng.choice([1, 30, 300], size=(40, 1))
+            vals[0, :] = 1.0
+            vals[1, 0] = 0.0
+            vals[2, :] = 1e-300
+            log_vals = np.full(vals.shape, -np.inf)
+            got = rows(np.log(vals, where=vals > 0, out=log_vals))
+            for row, value in zip(vals, got):
+                want = combine(CombinerSpec(method), pv(*row)).log_value
+                assert value == want or math.isclose(value, want, rel_tol=1e-12)
+
+    def test_stouffer_row_form_matches_scalar(self):
+        rng = np.random.default_rng(41)
+        for k in range(1, 19):
+            vals = rng.random((40, k)) ** rng.choice([1, 30, 300], size=(40, 1))
+            vals = np.maximum(vals, 1e-300)  # the rule is undefined at p = 0
+            w = rng.uniform(0.1, 10.0, (40, k))
+            z = -np.array([[std_normal_quantile(p) for p in pv(*row)] for row in vals])
+            got = log_stouffer_rows(z, w)
+            for row, wts, value in zip(vals, w, got):
+                want = combine_stouffer_weighted(pv(*row), list(wts)).log_value
+                assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-15)
 
     def test_case_a_beats_case_b(self):
         a = [ProbValue.from_log(math.log(x)) for x in CASE_A]

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from _golden import (
@@ -13,25 +14,30 @@ from _golden import (
     TABLE_2B_BONFERRONI,
     TABLE_2B_NEW_INCONSISTENT_R,
 )
-from pcmeta.combiners import CombinerSpec, combine_fisher
+from pcmeta.combiners import CombinerSpec, combine, combine_fisher
 from pcmeta.errors import (
     EnumerationBudgetError,
     InputValidationError,
     NonConvergenceError,
+    NumericDomainError,
 )
+from pcmeta.io import stouffer_weights_from_records
 from pcmeta.numerics import ProbValue
 from pcmeta.oracle import NullConfig, mc_validity
 from pcmeta.partial_conjunction import (
     GroupPartition,
     PcCurve,
     PcEntry,
+    _ArrayFactory,
     bhpc,
     extract_component,
     fixed_subset_combiner,
     gbhpc_enumerate,
     pc_curve,
+    select_construction,
     structured_gbhpc,
     structured_subset_combiner,
+    weighted_subset_combiner,
 )
 
 
@@ -187,6 +193,176 @@ class TestGbhpcEnumerate:
         assert got.log_value == expected
 
 
+def scalar_max(ps, r, factory):
+    """The full scalar loop: the reference for the array path."""
+    best = None
+    for u in combinations(range(len(ps)), len(ps) - r + 1):
+        value = factory(u)([ps[i] for i in u])
+        if best is None or value.log_value > best.log_value:
+            best = value
+    return best
+
+
+def array_factories(weights):
+    return {
+        "fisher": fixed_subset_combiner(FISHER),
+        "simes": fixed_subset_combiner(SIMES),
+        "bonferroni": fixed_subset_combiner(BONF),
+        "stouffer": weighted_subset_combiner(weights),
+    }
+
+
+def assert_array_path_exact(ps, weights, rs=None):
+    """gbhpc_enumerate equals the scalar loop bit for bit, or both raise
+    NumericDomainError (the weighted rule at p in {0, 1})."""
+    for name, factory in array_factories(weights).items():
+        for r in rs or range(1, len(ps) + 1):
+            try:
+                want = scalar_max(ps, r, factory)
+            except NumericDomainError:
+                with pytest.raises(NumericDomainError):
+                    gbhpc_enumerate(ps, r, factory)
+                continue
+            got = gbhpc_enumerate(ps, r, factory)
+            assert got.log_value == want.log_value, (name, r)
+            assert got.linear == want.linear, (name, r)
+
+
+# p-values that stress the screen: the {0, 1} edges, a value near the
+# bottom of double range, and a few values that make ties.
+EDGE_PS = (0.0, 1.0, 1e-300, 0.05, 0.5)
+
+
+class TestArrayPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(EDGE_PS),
+                st.floats(min_value=1e-300, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_scalar_loop(self, values, rnd):
+        weights = [rnd.uniform(0.1, 10.0) for _ in values]
+        assert_array_path_exact(pv(*values), weights)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.0, 0.3, 0.7, 0.01),
+            (1.0, 1.0, 1.0, 1.0, 1.0),
+            (1.0, 0.2, 1.0, 0.9),
+            (0.0, 0.0, 0.0),
+            (1e-300, 1e-300, 0.4, 1e-300, 0.9, 0.02),
+            (0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05),
+            (0.2, 0.2, 0.2, 0.05, 0.05, 0.8, 1.0, 0.0, 1e-300, 0.6),
+            (0.5,),
+        ],
+    )
+    def test_edges_ties_and_repeats(self, values):
+        rng = np.random.default_rng(67)
+        weights = rng.uniform(0.5, 3.0, len(values))
+        assert_array_path_exact(pv(*values), weights)
+        assert_array_path_exact(pv(*values), [1.0] * len(values))
+
+    def test_near_tied_subsets(self):
+        # Repeated p-values with weights a few ulps apart: subsets whose
+        # exact values differ in the last bits, which the array kernel may
+        # rank in the other order.  The screen must keep both.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 7))
+            base_p, base_w = rng.random(), rng.uniform(0.5, 3.0)
+            tied = rng.random(n) < 0.6
+            values = np.where(tied, base_p, rng.random(n))
+            nudge = 1.0 + rng.integers(-3, 4, n) * 2.2e-16
+            weights = np.where(tied, base_w * nudge, rng.uniform(0.5, 3.0, n))
+            ps = pv(*values)
+            factory = weighted_subset_combiner(weights)
+            for r in range(1, n + 1):
+                got = gbhpc_enumerate(ps, r, factory)
+                want = scalar_max(ps, r, factory)
+                assert (got.log_value, got.linear) == (want.log_value, want.linear)
+
+    def test_screen_tolerates_kernel_error(self):
+        # A kernel off by up to 2e-10 (1 + |v|), a fifth of the screen's
+        # tolerance, on p-values a few ulps apart: every subset is a near
+        # tie, the exact maximum is the first subset and the approximate
+        # maximum falls in a later chunk.  The result must stay exact.
+        rng = np.random.default_rng(79)
+        ps = pv(*(0.3 * (1.0 - 1e-15 * np.arange(14))))
+        fisher = fixed_subset_combiner(FISHER)
+
+        def noisy_bind(p_values):
+            kernel = fisher.bind(p_values)
+
+            def noisy(idx):
+                v = kernel(idx)
+                return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1.0 + np.abs(v))
+
+            return noisy
+
+        factory = _ArrayFactory(fisher, noisy_bind)
+        for r in (2, 5, 8, 11):
+            got = gbhpc_enumerate(ps, r, factory)
+            want = scalar_max(ps, r, fisher)
+            assert (got.log_value, got.linear) == (want.log_value, want.linear)
+
+    def test_more_subsets_than_one_chunk(self):
+        # C(14, 7) = 3432 subsets: the screen spans four chunks.
+        rng = np.random.default_rng(71)
+        values = rng.random(14) ** 3
+        weights = rng.uniform(0.5, 3.0, 14)
+        assert math.comb(14, 7) > 1024
+        assert_array_path_exact(pv(*values), weights, rs=[8])
+
+    def test_bundled_data_every_r(self, bundled_pvalue_records, bundled_pvalues):
+        weights = stouffer_weights_from_records(bundled_pvalue_records)
+        assert_array_path_exact(bundled_pvalues, weights)
+
+    def test_stouffer_raises_at_zero_and_one(self):
+        factory = weighted_subset_combiner([1.0, 2.0, 3.0, 4.0])
+        for edge in (0.0, 1.0):
+            ps = pv(0.1, edge, 0.3, 0.4)
+            for r in range(1, 5):
+                with pytest.raises(NumericDomainError):
+                    gbhpc_enumerate(ps, r, factory)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_weights_rejected_when_built(self, bad):
+        with pytest.raises(InputValidationError):
+            weighted_subset_combiner([1.0, bad, 2.0])
+
+    def test_plain_callable_factory(self):
+        rng = np.random.default_rng(73)
+        ps = pv(*rng.random(9))
+        plain = lambda u: (lambda p_u: combine(FISHER, p_u))
+        for r in range(1, 10):
+            got = gbhpc_enumerate(ps, r, plain)
+            want = gbhpc_enumerate(ps, r, fixed_subset_combiner(FISHER))
+            assert got.log_value == want.log_value
+
+    def test_budget_checked_before_any_work(self):
+        class Untouched(list):
+            def __getitem__(self, i):
+                raise AssertionError("p-values read before the budget check")
+
+            def __iter__(self):
+                raise AssertionError("p-values read before the budget check")
+
+        ps = Untouched(pv(*np.linspace(0.01, 0.99, 30)))
+        calls = []
+        plain = lambda u: calls.append(u)
+        for factory in [*array_factories([1.0] * 30).values(), plain]:
+            with pytest.raises(EnumerationBudgetError):
+                gbhpc_enumerate(ps, 15, factory, budget=1000)
+        assert calls == []
+
+
 class TestStructured:
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(53)
@@ -318,6 +494,15 @@ class TestPcCurve:
                 alpha=0.05,
                 entries=(PcEntry(2, ProbValue.one()), PcEntry(1, ProbValue.one())),
             )
+
+    def test_select_construction_matches_curve(self, bundled_pvalues):
+        curve = pc_curve(bundled_pvalues, 0.05, g=fixed_subset_combiner(SIMES))
+        method, evaluate = select_construction(
+            bundled_pvalues, 0.05, g=fixed_subset_combiner(SIMES)
+        )
+        assert method == curve.method
+        for r in (1, 9, 18):
+            assert evaluate(r).log_value == curve.entries[r - 1].p.log_value
 
     def test_structured_curve_matches_pointwise(self, bundled_pvalues, bundled_groups):
         curve = pc_curve(bundled_pvalues, 0.05, groups=bundled_groups)
