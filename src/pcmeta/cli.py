@@ -20,12 +20,7 @@ import numpy as np
 from . import io as pio
 from .combiners import CombinerSpec, combine, fisher_exact_2x2
 from .counterexample import TEST_NAMES, power_grid_2d
-from .errors import (
-    InputValidationError,
-    NonConvergenceError,
-    NumericDomainError,
-    PcmetaError,
-)
+from .errors import InputValidationError, NonConvergenceError, PcmetaError
 from .numerics import ProbValue
 from .oracle import NullConfig, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
@@ -35,7 +30,7 @@ from .partial_conjunction import (
     select_construction,
     weighted_subset_combiner,
 )
-from .simulation import METHOD_NAMES, SimConfig, run_power_map
+from .simulation import METHOD_NAMES, PowerGrid, SimConfig, run_power_map
 
 CLI_METHODS = ("fisher", "simes", "bonferroni", "tpm", "stouffer")
 
@@ -200,8 +195,6 @@ def cmd_simulate(args) -> int:
         cfg = SimConfig(r0=int(r0), **base)
         grid = run_power_map(cfg, mu0_values, sigma0_values)
         all_cells.extend(grid.cells)
-    from .simulation import PowerGrid
-
     merged = PowerGrid(
         mu0_values=tuple(float(v) for v in mu0_values),
         sigma0_values=tuple(float(v) for v in sigma0_values),
@@ -251,10 +244,7 @@ def cmd_oracle_validity(args) -> int:
     if k is None:
         raise InputValidationError("pass --k or --z-means")
     config = NullConfig(n_studies=k, z_means=tuple(z_means) if z_means else None)
-    if args.method == "stouffer":
-        spec = CombinerSpec("stouffer_weighted", weights=(1.0,) * k)
-    else:
-        spec = _build_spec(args.method, args.gamma)
+    spec = _build_spec(args.method, args.gamma, (1.0,) * k)
     if args.pc_r is None:
         rule = lambda ps: combine(spec, ps)
         label = args.method
@@ -401,18 +391,10 @@ def main(argv=None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (InputValidationError, NumericDomainError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except NonConvergenceError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 3
     except PcmetaError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NonConvergenceError) else 2
 
 
 if __name__ == "__main__":

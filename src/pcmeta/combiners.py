@@ -10,7 +10,8 @@ Fisher, Simes, Bonferroni and the weighted z-rule also have row-wise
 array forms (``log_*_rows``) that take a (rows, k) array of log
 p-values and agree with the scalar rules to roundoff, not bit for bit;
 subset enumeration uses them to screen subsets before rescoring the
-best with the scalar rules.
+best with the scalar rules, which stay exact (``combine_fisher`` equals
+``chisq_sf`` bit for bit).  ``ROW_KERNELS`` maps rule names to row forms.
 
 ``fisher_exact_2x2`` produces the per-subgroup two-sided p-values used
 by the replicability pipeline when the input data are event counts.
@@ -28,6 +29,7 @@ from scipy import special
 from .errors import InputValidationError, NumericDomainError
 from .numerics import (
     ProbValue,
+    _log_poisson_head,
     hypergeom_log_pmf,
     log_comb,
     log_sum_exp,
@@ -40,6 +42,7 @@ __all__ = [
     "CountTable2x2",
     "FisherExactResult",
     "SYMMETRIC_METHODS",
+    "ROW_KERNELS",
     "combine",
     "log_fisher",
     "log_fisher_rows",
@@ -87,8 +90,7 @@ class CombinerSpec:
             )
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            if not self.weights or any(w <= 0 or math.isnan(w) for w in self.weights):
-                raise InputValidationError("weights must be strictly positive")
+            _check_weights(self.weights)
 
     @property
     def is_symmetric(self) -> bool:
@@ -104,10 +106,6 @@ def combine(spec: CombinerSpec, ps: Sequence[ProbValue]) -> ProbValue:
     if spec.method == "bonferroni":
         return combine_bonferroni(ps)
     if spec.method == "stouffer_weighted":
-        if len(spec.weights) != len(ps):
-            raise InputValidationError(
-                f"{len(spec.weights)} weights for {len(ps)} p-values"
-            )
         return combine_stouffer_weighted(ps, spec.weights)
     return combine_tpm(ps, spec.tpm_gamma)
 
@@ -115,6 +113,12 @@ def combine(spec: CombinerSpec, ps: Sequence[ProbValue]) -> ProbValue:
 def _require_nonempty(ps: Sequence[ProbValue]) -> None:
     if len(ps) == 0:
         raise InputValidationError("cannot combine an empty p-value vector")
+
+
+def _check_weights(weights: Sequence[float]) -> None:
+    """Raise unless the weights are non-empty, finite and positive."""
+    if not weights or not all(0.0 < w < math.inf for w in weights):
+        raise InputValidationError("weights must be finite and strictly positive")
 
 
 def log_fisher(log_ps: Sequence[float]) -> float:
@@ -126,13 +130,7 @@ def log_fisher(log_ps: Sequence[float]) -> float:
     if any(lp == _NEG_INF for lp in log_ps):
         return _NEG_INF
     half = -math.fsum(log_ps)  # chi-square statistic / 2
-    if half == 0.0:
-        return 0.0
-    log_half = math.log(half)
-    log_series = log_sum_exp(
-        j * log_half - math.lgamma(j + 1) for j in range(len(log_ps))
-    )
-    return min(0.0, -half + log_series)
+    return min(0.0, -half + _log_poisson_head(half, len(log_ps)))
 
 
 def log_fisher_rows(log_p: np.ndarray) -> np.ndarray:
@@ -178,6 +176,14 @@ def log_stouffer_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return special.log_ndtr(-stat)
 
 
+# Row forms of the symmetric rules, by ``CombinerSpec.method``; TPM has none.
+ROW_KERNELS = {
+    "fisher": log_fisher_rows,
+    "simes": log_simes_rows,
+    "bonferroni": log_bonferroni_rows,
+}
+
+
 def combine_fisher(ps: Sequence[ProbValue]) -> ProbValue:
     """Fisher's method: chi-square tail of -2 * sum(log p) on 2k dof.
 
@@ -217,8 +223,7 @@ def combine_stouffer_weighted(
     _require_nonempty(ps)
     if len(weights) != len(ps):
         raise InputValidationError(f"{len(weights)} weights for {len(ps)} p-values")
-    if any(w <= 0 or math.isnan(w) for w in weights):
-        raise InputValidationError("weights must be strictly positive")
+    _check_weights(weights)
     if any(p.is_zero or p.is_one for p in ps):
         raise NumericDomainError("stouffer combination undefined at p in {0, 1}")
     num = math.fsum(w * -std_normal_quantile(p) for w, p in zip(weights, ps))
@@ -258,14 +263,7 @@ def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:
             continue
         base = log_comb(L, k) + (0.0 if k == L else (L - k) * log_1mg)
         if log_w <= k * log_gamma:
-            x = k * log_gamma - log_w
-            if x == 0.0:
-                inner = 0.0
-            else:
-                log_x = math.log(x)
-                inner = log_sum_exp(
-                    s * log_x - math.lgamma(s + 1) for s in range(k)
-                )
+            inner = _log_poisson_head(k * log_gamma - log_w, k)
             terms.append(base + log_w + inner)
         else:
             terms.append(base + k * log_gamma)

@@ -254,6 +254,7 @@ class CounterexamplePowerGrid:
 
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
+    """Linear, not ``exp(two_sided_log_p(z))``: the last bit decides region edges."""
     return 2.0 * special.ndtr(-np.abs(z))
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
@@ -83,8 +85,8 @@ class StudyRecord:
             raise InputValidationError(f"{self.study_id}: p outside [0, 1]: {self.p}")
         if self.n_sample is not None and self.n_sample <= 0:
             raise InputValidationError(f"{self.study_id}: n_sample must be positive")
-        if self.sigma <= 0:
-            raise InputValidationError(f"{self.study_id}: sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise InputValidationError(f"{self.study_id}: sigma must be finite and > 0")
 
     @property
     def has_counts(self) -> bool:
@@ -130,6 +132,9 @@ def parse_study_rows(rows: Iterable[dict[str, str]]) -> list[StudyRecord]:
         )
     if not records:
         raise InputValidationError("input contains no data rows")
+    dups = sorted(s for s, c in Counter(r.study_id for r in records).items() if c > 1)
+    if dups:
+        raise InputValidationError(f"duplicate study_id: {', '.join(dups)}")
     labelled = [r.group_factor is not None for r in records]
     if any(labelled) and not all(labelled):
         raise InputValidationError("group_factor must be present on all rows or none")

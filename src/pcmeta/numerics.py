@@ -10,7 +10,8 @@ The normal CDF/quantile pair is backed by scipy's ``log_ndtr`` /
 ``ndtri_exp``, which stay accurate far into the tail (|log p| ~ 1e3 and
 beyond).  The chi-square upper tail for even degrees of freedom and the
 hypergeometric log-PMF are computed here directly: both reduce to finite
-sums of positive terms, which log-sum-exp evaluates without cancellation.
+sums of positive terms, which log-sum-exp evaluates without cancellation;
+the chi-square tail's Poisson series also serves the Fisher and TPM rules.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable
 
+import numpy as np
 from scipy import special
 
 from .errors import NumericDomainError
@@ -30,11 +32,13 @@ __all__ = [
     "std_normal_sf",
     "std_normal_quantile",
     "chisq_sf",
+    "two_sided_log_p",
     "hypergeom_log_pmf",
     "log_comb",
 ]
 
 _NEG_INF = float("-inf")
+_LOG2 = math.log(2.0)
 # Smallest positive double: used so that a nonzero log never pairs with a
 # linear value of exactly 0 (and vice versa for 1).
 _TINY_LINEAR = 5e-324
@@ -179,10 +183,21 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
     if math.isinf(x):
         return ProbValue.zero()
     half = x / 2.0
-    log_half = math.log(half)
-    k = dof // 2
-    log_series = log_sum_exp(j * log_half - math.lgamma(j + 1) for j in range(k))
-    return ProbValue.from_log(min(0.0, -half + log_series))
+    return ProbValue.from_log(min(0.0, -half + _log_poisson_head(half, dof // 2)))
+
+
+def _log_poisson_head(x: float, k: int) -> float:
+    """log of sum_{j < k} x^j / j! for x >= 0 (0 at x = 0); the one
+    Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
+    if x == 0.0:
+        return 0.0
+    log_x = math.log(x)
+    return log_sum_exp(j * log_x - math.lgamma(j + 1) for j in range(k))
+
+
+def two_sided_log_p(z):
+    """log of the two-sided normal p-value 2 * Phi(-|z|), elementwise."""
+    return _LOG2 + special.log_ndtr(-np.abs(z))
 
 
 def log_comb(n: int, k: int) -> float:

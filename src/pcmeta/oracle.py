@@ -4,7 +4,9 @@ These are shipped (not test-only) so that user-supplied combining rules
 can be validity-checked with the same machinery the built-in rules are
 held to: a rule is valid when its null rejection rate stays at or below
 alpha, and the truncated-product closed form can be cross-checked
-against the empirical null CDF.
+against the empirical null CDF.  Normal-model draws share the
+two-sided log p-value map ``numerics.two_sided_log_p`` with the power
+simulation.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import InputValidationError
-from .numerics import ProbValue
+from .numerics import ProbValue, two_sided_log_p
 
 __all__ = [
     "NullConfig",
@@ -25,8 +26,6 @@ __all__ = [
     "mc_validity",
     "tpm_mc_cdf",
 ]
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def _draw_log_p(config: NullConfig, rng: np.random.Generator, reps: int) -> np.n
         u = rng.random((reps, config.n_studies))
         return np.log(u)
     z = rng.standard_normal((reps, config.n_studies)) + np.array(config.z_means)
-    return _LOG2 + special.log_ndtr(-np.abs(z))
+    return two_sided_log_p(z)
 
 
 def mc_validity(

@@ -38,13 +38,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .combiners import (
+    ROW_KERNELS,
     CombinerSpec,
+    _check_weights,
     combine,
     combine_stouffer_weighted,
-    log_bonferroni_rows,
     log_fisher,
-    log_fisher_rows,
-    log_simes_rows,
     log_stouffer_rows,
 )
 from .errors import (
@@ -294,13 +293,6 @@ def gbhpc_enumerate(
     return best
 
 
-_ROW_FORMS = {
-    "fisher": log_fisher_rows,
-    "simes": log_simes_rows,
-    "bonferroni": log_bonferroni_rows,
-}
-
-
 def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
     """Factory applying one symmetric rule to every subset.
 
@@ -314,7 +306,7 @@ def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
     def factory(u: tuple[int, ...]) -> SubsetCombiner:
         return lambda p_u: combine(spec, p_u)
 
-    rows = _ROW_FORMS.get(spec.method)
+    rows = ROW_KERNELS.get(spec.method)
     if rows is None:
         return factory
 
@@ -334,8 +326,7 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
     so the scalar rule raises on them as it always has.
     """
     weights = tuple(float(w) for w in weights)
-    if not weights or not all(0.0 < w < math.inf for w in weights):
-        raise InputValidationError("weights must be finite and strictly positive")
+    _check_weights(weights)
     w = np.array(weights)
 
     def factory(u: tuple[int, ...]) -> SubsetCombiner:

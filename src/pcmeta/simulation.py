@@ -10,9 +10,9 @@ over the leave-one-out subsets with weights sqrt(N_i).
 
 Cells are evaluated with numpy-vectorized replicates; the per-cell RNG
 stream is keyed by (seed, r0, cell index), so results are bit-identical
-across runs regardless of evaluation order.  The scalar rejection path
-(via the combiners and PC modules) is equivalent and is cross-checked
-in the test suite.
+across runs regardless of evaluation order.  The drop-smallest rules
+use ``combiners.ROW_KERNELS``; the scalar path (combiners and PC
+modules) is equivalent and is cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 
-from .combiners import log_fisher_rows
+from .combiners import ROW_KERNELS
 from .errors import InputValidationError
-from .numerics import ProbValue
+from .numerics import ProbValue, two_sided_log_p
 
 __all__ = [
     "SimConfig",
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 METHOD_NAMES = ("fisher_bhpc", "simes_bhpc", "stouffer_gbhpc")
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ def _draw_log_pvalues(cfg: SimConfig, rng: np.random.Generator, reps: int) -> np
     effects = rng.gamma(cfg.gamma_shape, cfg.gamma_scale, size=(reps, cfg.n))
     mu = np.where(mask, effects, 0.0)
     z = rng.standard_normal((reps, cfg.n)) + np.sqrt(np.array(cfg.sample_sizes)) * mu
-    return _LOG2 + special.log_ndtr(-np.abs(z))
+    return two_sided_log_p(z)
 
 
 def draw_study_pvalues(cfg: SimConfig, rng: np.random.Generator) -> list[ProbValue]:
@@ -134,24 +132,24 @@ def draw_study_pvalues(cfg: SimConfig, rng: np.random.Generator) -> list[ProbVal
     return [ProbValue.from_log(min(0.0, v)) for v in row]
 
 
-def _reject_fisher_bhpc(log_p: np.ndarray, r: int, log_alpha: float) -> np.ndarray:
+def _reject_bhpc(
+    log_p: np.ndarray, r: int, rows: Callable[[np.ndarray], np.ndarray], log_alpha: float
+) -> np.ndarray:
+    """Reject iff the row rule on the n-r+1 largest p-values is <= alpha."""
     kept = np.sort(log_p, axis=1)[:, r - 1 :]
-    return log_fisher_rows(kept) <= log_alpha
-
-
-def _reject_simes_bhpc(log_p: np.ndarray, r: int, log_alpha: float) -> np.ndarray:
-    kept = np.sort(log_p, axis=1)[:, r - 1 :]
-    k = kept.shape[1]
-    scale = math.log(k) - np.log(np.arange(1, k + 1))
-    combined = np.min(scale + kept, axis=1)
-    return np.minimum(0.0, combined) <= log_alpha
+    return rows(kept) <= log_alpha
 
 
 def _reject_stouffer_gbhpc(
     log_p: np.ndarray, r: int, weights: np.ndarray, alpha: float
 ) -> np.ndarray:
     """Reject iff max over subsets u (|u| = n-r+1) of the weighted
-    z-rule p-value is <= alpha, i.e. min over u of z_u >= z_alpha."""
+    z-rule p-value is <= alpha, i.e. min over u of z_u >= z_alpha.
+
+    Kept in z-space: one ``ndtri_exp`` per study and a compare per subset
+    took 2.8 s on the default 300-cell ``simulate`` config (6e6 rows, 2-core
+    Xeon VM), ``log_stouffer_rows`` per subset 5.3 s, 0 decisions differing.
+    """
     n = log_p.shape[1]
     z = -special.ndtri_exp(log_p)
     z_alpha = -special.ndtri(alpha)
@@ -168,13 +166,12 @@ def _cell_powers(cfg: SimConfig, rng: np.random.Generator) -> dict[str, float]:
     log_alpha = math.log(cfg.alpha)
     out: dict[str, float] = {}
     for method in cfg.methods:
-        if method == "fisher_bhpc":
-            hits = _reject_fisher_bhpc(log_p, cfg.r, log_alpha)
-        elif method == "simes_bhpc":
-            hits = _reject_simes_bhpc(log_p, cfg.r, log_alpha)
-        else:
+        if method == "stouffer_gbhpc":
             weights = np.sqrt(np.array(cfg.sample_sizes, dtype=float))
             hits = _reject_stouffer_gbhpc(log_p, cfg.r, weights, cfg.alpha)
+        else:
+            rows = ROW_KERNELS[method.removesuffix("_bhpc")]
+            hits = _reject_bhpc(log_p, cfg.r, rows, log_alpha)
         out[method] = float(np.mean(hits))
     return out
 

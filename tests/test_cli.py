@@ -318,6 +318,42 @@ class TestOracleCommands:
         assert json.loads(out)["estimate"] == 1.0
 
 
+class TestInputContract:
+    # sqrt(100) / 1e-320 overflows to an infinite weight.
+    TINY_SIGMA_ROWS = {
+        "two_rows": "study_id,p,n_sample,sigma\na,0.01,100,1e-320\nb,0.99,100,1e-320\n",
+        "one_row": "study_id,p,n_sample,sigma\na,0.01,100,1e-320\n",
+    }
+
+    @pytest.mark.parametrize("rows", sorted(TINY_SIGMA_ROWS))
+    @pytest.mark.parametrize("command", ["combine", "pc"])
+    def test_infinite_weight_rejected(self, tmp_path, capsys, rows, command):
+        path = tmp_path / "tiny_sigma.csv"
+        path.write_text(self.TINY_SIGMA_ROWS[rows])
+        code, out, err = run_cli(capsys, command, str(path), "--method", "stouffer",
+                                 "--weights-from", "n_sample", "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_nonfinite_sigma_rejected(self, tmp_path, capsys, sigma):
+        path = tmp_path / "sigma.csv"
+        path.write_text(f"study_id,p,n_sample,sigma\na,0.01,100,{sigma}\n")
+        code, out, err = run_cli(capsys, "combine", str(path), "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+        with pytest.raises(InputValidationError):
+            pio.StudyRecord(study_id="a", p=0.01, sigma=float(sigma))
+
+    def test_duplicate_study_id_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("study_id,p\na,0.01\na,0.5\n")
+        code, out, err = run_cli(capsys, "pc", str(path), "--json")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "InputValidationError" and "a" in doc["message"]
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, out, err = run_cli(capsys, "combine", "/nonexistent.csv", "--json")

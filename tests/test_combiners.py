@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from _golden import CASE_A, CASE_B, TABLE_1A
@@ -18,6 +19,7 @@ from pcmeta.combiners import (
     combine_tpm,
     fisher_exact_2x2,
     log_bonferroni_rows,
+    log_fisher,
     log_fisher_rows,
     log_simes_rows,
     log_stouffer_rows,
@@ -149,6 +151,14 @@ class TestStouffer:
         with pytest.raises(InputValidationError):
             combine_stouffer_weighted(pv(0.1, 0.2), [1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_nonfinite_or_nonpositive_weight_rejected(self, bad):
+        # An infinite weight would reach fsum as -inf + inf (ValueError).
+        with pytest.raises(InputValidationError):
+            combine_stouffer_weighted(pv(0.01, 0.99), [bad, 1.0])
+        with pytest.raises(InputValidationError):
+            CombinerSpec("stouffer_weighted", weights=(1.0, bad))
+
 
 class TestTpm:
     def test_gamma_one_equals_fisher(self):
@@ -180,6 +190,32 @@ class TestTpm:
         # w == gamma exactly exercises the x == 0 branch.
         got = combine_tpm(pv(0.05, 0.5), 0.05)
         assert 0.0 < got.linear < 1.0
+
+
+# p-values with the edges of the Poisson series (p = 1 gives x = 0, and
+# 1e-300 the largest terms), drawn from a small pool so values repeat.
+_TAIL_PS = st.lists(
+    st.one_of(st.sampled_from([1.0, 1e-300]), st.floats(min_value=1e-300, max_value=1.0)),
+    min_size=1,
+    max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+
+
+class TestSharedPoissonTail:
+    """Fisher, the chi-square tail and TPM at gamma = 1 share one series."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TAIL_PS)
+    def test_log_fisher_equals_chisq_sf(self, values):
+        lp = [p.log_value for p in pv(*values)]
+        want = chisq_sf(-2.0 * math.fsum(lp), 2 * len(lp)).log_value
+        assert log_fisher(lp) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TAIL_PS)
+    def test_tpm_gamma_one_equals_fisher_exactly(self, values):
+        ps = pv(*values)
+        assert combine_tpm(ps, 1.0) == combine_fisher(ps)
 
 
 class TestSharedInvariants:

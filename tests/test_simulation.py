@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted
+from pcmeta.combiners import ROW_KERNELS, CombinerSpec, combine_stouffer_weighted
 from pcmeta.errors import InputValidationError
 from pcmeta.numerics import ProbValue
 from pcmeta.partial_conjunction import bhpc, gbhpc_enumerate
@@ -15,8 +15,7 @@ from pcmeta.simulation import (
     METHOD_NAMES,
     SimConfig,
     _draw_log_pvalues,
-    _reject_fisher_bhpc,
-    _reject_simes_bhpc,
+    _reject_bhpc,
     _reject_stouffer_gbhpc,
     draw_study_pvalues,
     run_power_map,
@@ -94,8 +93,8 @@ class TestVectorScalarAgreement:
         log_alpha = math.log(cfg.alpha)
         weights = np.sqrt(np.array(cfg.sample_sizes, dtype=float))
 
-        vec_fisher = _reject_fisher_bhpc(log_p, cfg.r, log_alpha)
-        vec_simes = _reject_simes_bhpc(log_p, cfg.r, log_alpha)
+        vec_fisher = _reject_bhpc(log_p, cfg.r, ROW_KERNELS["fisher"], log_alpha)
+        vec_simes = _reject_bhpc(log_p, cfg.r, ROW_KERNELS["simes"], log_alpha)
         vec_stouffer = _reject_stouffer_gbhpc(log_p, cfg.r, weights, cfg.alpha)
 
         fisher, simes = CombinerSpec("fisher"), CombinerSpec("simes")
