@@ -20,8 +20,9 @@ constructions are implemented:
 on the anticoagulant subgroup data: within each independence block the
 subset p-value is a Fisher combination, and blocks are combined by
 Bonferroni.  It optimizes over per-block kept-counts instead of raw
-subsets (lossless, because Fisher is symmetric and monotone) and is
-cross-checked against full enumeration.
+subsets (lossless, because Fisher is symmetric and monotone) with a
+dynamic program over (blocks, kept, blocks used), polynomial in n, and
+equals full enumeration bit for bit.
 
 Scanning r = 1..n yields a curve of PC p-values and the level-alpha
 confidence set {r : p_{r/n} <= alpha} for the true non-null count.
@@ -156,6 +157,14 @@ def _check_r(n: int, r: int) -> None:
         raise InputValidationError(f"require 1 <= r <= {n}, got r={r!r}")
 
 
+def _check_budget(n: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> None:
+    """Raise, before any work, when the C(n, r-1) subsets exceed budget."""
+    if math.comb(n, r - 1) > budget:
+        raise EnumerationBudgetError(
+            f"C({n}, {r - 1}) = {math.comb(n, r - 1)} subsets exceeds budget {budget}"
+        )
+
+
 def _largest_tail(ps: Sequence[ProbValue], r: int) -> list[ProbValue]:
     """The n-r+1 largest p-values (ties broken stably by study index)."""
     return sorted(ps, key=lambda p: p.log_value)[r - 1 :]
@@ -275,11 +284,7 @@ def gbhpc_enumerate(
     """
     n = len(ps)
     _check_r(n, r)
-    n_subsets = math.comb(n, r - 1)
-    if n_subsets > budget:
-        raise EnumerationBudgetError(
-            f"C({n}, {r - 1}) = {n_subsets} subsets exceeds budget {budget}"
-        )
+    _check_budget(n, r, budget)
     size = n - r + 1
     subsets: Iterable[tuple[int, ...]] = combinations(range(n), size)
     kernel = g.bind(ps) if isinstance(g, _ArrayFactory) else None
@@ -380,50 +385,44 @@ def structured_subset_combiner(groups: GroupPartition) -> SubsetCombinerFactory:
 def structured_gbhpc(
     ps: Sequence[ProbValue], r: int, groups: GroupPartition
 ) -> ProbValue:
-    """Grouped GBHPC p-value via optimization over per-block kept-counts.
+    """Grouped GBHPC p-value by a dynamic program over blocks.
 
-    For a fixed profile of kept-counts (c_1..c_m), the subset that
-    maximizes g_u keeps the c_i largest p-values of each block (Fisher
-    is monotone and symmetric), so only per-block top-c Fisher values
-    F_i(c) matter.  The profile space is enumerated exactly; results
-    agree with ``gbhpc_enumerate`` over raw subsets.
+    For kept-counts (c_1..c_m), the best subset keeps the c_i largest
+    p-values of block i (Fisher is monotone and symmetric), so the value
+    is the max over sum c_i = n-r+1 of min(0, log(used) + min over used
+    blocks of F_i(c_i)), with F_i(c) the log Fisher value of the top c
+    of block i.  One pass keeps, per state (kept, blocks used), the
+    largest such min, and drops states that later blocks cannot fill to
+    n-r+1: O(m * n * c) for m blocks of at most c studies.  Bit-exact:
+    min(x, F) and x -> min(0, log(used) + x) are non-decreasing in
+    floating point, so the max per state loses no profile.
     """
     n = len(ps)
     _check_r(n, r)
     if groups.n != n:
         raise InputValidationError(f"partition is over {groups.n} indices, data has {n}")
     keep = n - r + 1
-    # F[i][c] = log Fisher p-value of the c largest p-values in block i.
-    tops: list[list[float]] = []
+    best: dict[tuple[int, int], float] = {(0, 0): math.inf}
+    left = n
     for block in groups.blocks:
         desc = sorted((ps[i].log_value for i in block), reverse=True)
-        tops.append([log_fisher(desc[:c]) for c in range(1, len(block) + 1)])
-    caps = [len(block) for block in groups.blocks]
-    suffix_cap = [0] * (len(caps) + 1)
-    for i in range(len(caps) - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + caps[i]
-
-    best = -math.inf
-
-    def scan(i: int, remaining: int, used: int, min_log: float) -> None:
-        nonlocal best
-        if remaining > suffix_cap[i]:
-            return
-        if i == len(caps):
-            value = min(0.0, math.log(used) + min_log)
-            if value > best:
-                best = value
-            return
-        hi = min(caps[i], remaining)
-        lo = max(0, remaining - suffix_cap[i + 1])
-        for c in range(lo, hi + 1):
-            if c == 0:
-                scan(i + 1, remaining, used, min_log)
-            else:
-                scan(i + 1, remaining - c, used + 1, min(min_log, tops[i][c - 1]))
-
-    scan(0, keep, 0, math.inf)
-    return ProbValue.from_log(best)
+        left -= len(block)
+        tops: dict[int, float] = {}  # c -> log Fisher of the c largest
+        step: dict[tuple[int, int], float] = {}
+        for (kept, used), low in best.items():
+            for c in range(max(0, keep - left - kept), min(len(block), keep - kept) + 1):
+                if c == 0:
+                    state, value = (kept, used), low
+                else:
+                    if c not in tops:
+                        tops[c] = log_fisher(desc[:c])
+                    state, value = (kept + c, used + 1), min(low, tops[c])
+                if state not in step or value > step[state]:
+                    step[state] = value
+        best = step
+    return ProbValue.from_log(
+        max(min(0.0, math.log(used) + low) for (_, used), low in best.items())
+    )
 
 
 def extract_component(

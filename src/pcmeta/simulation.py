@@ -6,7 +6,10 @@ and standard deviation sigma0 (shape (mu0/sigma0)^2, rate mu0/sigma0^2),
 and study i reports the two-sided p-value of Z_i ~ N(sqrt(N_i) mu_i, 1).
 Three PC rules at r = 2 are compared on power maps over (mu0, sigma0):
 Fisher and Simes drop-smallest rules, and a weighted z-rule generalized
-over the leave-one-out subsets with weights sqrt(N_i).
+over the leave-one-out subsets with weights sqrt(N_i).  That rule scans
+every subset of size n-r+1, so a config selecting it with C(n, r-1)
+above ``DEFAULT_ENUMERATION_BUDGET`` raises ``EnumerationBudgetError``
+before any draw, as ``gbhpc_enumerate`` does.
 
 Cells are evaluated with numpy-vectorized replicates; the per-cell RNG
 stream is keyed by (seed, r0, cell index), so results are bit-identical
@@ -28,6 +31,7 @@ from scipy import special
 from .combiners import ROW_KERNELS
 from .errors import InputValidationError
 from .numerics import ProbValue, two_sided_log_p
+from .partial_conjunction import _check_budget
 
 __all__ = [
     "SimConfig",
@@ -78,6 +82,8 @@ class SimConfig:
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise InputValidationError(f"unknown methods: {sorted(unknown)}")
+        if "stouffer_gbhpc" in self.methods:
+            _check_budget(self.n, self.r)  # one z-compare per subset and replicate
         if self.nonnull_indices is not None:
             idx = tuple(self.nonnull_indices)
             if len(idx) != self.r0 or len(set(idx)) != len(idx):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -181,6 +182,16 @@ class TestPcCommand:
         assert "at least 12 of 18" in out
         assert "0.667" in out
 
+    def test_groups_sixteen_blocks_of_three(self, tmp_path, capsys):
+        # Enumerating every kept-count profile here would take about 30 min.
+        path = tmp_path / "wide.csv"
+        rows = [f"s{i},g{i // 3},{0.5 ** (i % 7 + 1)!r}" for i in range(48)]
+        path.write_text("study_id,group_factor,p\n" + "\n".join(rows) + "\n")
+        code, out, _ = run_cli(capsys, "pc", str(path), "--groups", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == "gbhpc:structured" and len(doc["entries"]) == 48
+
     def test_groups_missing_labels(self, tmp_path, capsys):
         path = tmp_path / "nolabels.csv"
         path.write_text("study_id,p\na,0.1\nb,0.2\n")
@@ -252,6 +263,17 @@ class TestSimulateCommand:
         assert len(rows) == 2 * 1 * 3 * 2  # grid x methods x r0 values
         assert all(0.0 <= r["power"] <= 1.0 for r in rows)
         assert all(not math.isnan(r["power"]) for r in rows)
+
+    def test_stouffer_subset_budget_exits_before_drawing(self, tmp_path, capsys):
+        # C(30, 14) ~ 1.5e8 subsets per replicate; no draw may start.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 30, "r": 15, "sample_sizes": [100] * 30}))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "simulate", str(config), "--out",
+                               str(tmp_path / "x.csv"))
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and json.loads(err)["error"] == "EnumerationBudgetError"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -1,7 +1,8 @@
 """Drop-smallest and subset-max PC rules, component extraction, curves."""
 
 import math
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from _golden import (
     TABLE_2B_BONFERRONI,
     TABLE_2B_NEW_INCONSISTENT_R,
 )
-from pcmeta.combiners import CombinerSpec, combine, combine_fisher
+from pcmeta.combiners import CombinerSpec, combine, combine_fisher, log_fisher
 from pcmeta.errors import (
     EnumerationBudgetError,
     InputValidationError,
@@ -363,6 +364,30 @@ class TestArrayPath:
         assert calls == []
 
 
+GROUPED_PS = st.one_of(
+    st.sampled_from(EDGE_PS), st.floats(min_value=1e-300, max_value=1.0)
+)
+
+
+def profile_maxima(ps, groups):
+    """{kept: grouped GBHPC log value keeping that many studies}, by brute
+    force over every profile of per-block kept-counts."""
+    tops = []
+    for block in groups.blocks:
+        desc = sorted((ps[i].log_value for i in block), reverse=True)
+        tops.append([log_fisher(desc[:c]) for c in range(1, len(block) + 1)])
+    best = {}
+    for profile in product(*(range(len(block) + 1) for block in groups.blocks)):
+        kept = sum(profile)
+        if kept == 0:
+            continue
+        lows = [t[c - 1] for t, c in zip(tops, profile) if c > 0]
+        value = min(0.0, math.log(len(lows)) + min(lows))
+        if kept not in best or value > best[kept]:
+            best[kept] = value
+    return best
+
+
 class TestStructured:
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(53)
@@ -408,6 +433,56 @@ class TestStructured:
         groups = GroupPartition.from_labels(["a", "a", "b"])
         with pytest.raises(InputValidationError):
             structured_gbhpc(pv(0.1, 0.2), 1, groups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(GROUPED_PS, st.integers(0, 5)), min_size=1, max_size=12))
+    def test_equals_enumeration_bit_exact(self, rows):
+        values, labels = zip(*rows)
+        groups = GroupPartition.from_labels([str(b) for b in labels])
+        ps = pv(*values)
+        factory = structured_subset_combiner(groups)
+        for r in range(1, len(ps) + 1):
+            want = gbhpc_enumerate(ps, r, factory)
+            assert structured_gbhpc(ps, r, groups).log_value == want.log_value, r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(GROUPED_PS, min_size=1, max_size=20))
+    def test_singleton_and_one_block_partitions(self, values):
+        # One study per block is Bonferroni on the kept studies; one block
+        # holding every study is Fisher on them.
+        ps = pv(*values)
+        n = len(ps)
+        singletons = GroupPartition(n, tuple((i,) for i in range(n)))
+        one_block = GroupPartition(n, (tuple(range(n)),))
+        for r in range(1, n + 1):
+            got = structured_gbhpc(ps, r, singletons)
+            assert got.log_value == bhpc(ps, r, BONF).log_value, r
+            got = structured_gbhpc(ps, r, one_block)
+            assert got.log_value == bhpc(ps, r, FISHER).log_value, r
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=6, max_size=8), st.data())
+    def test_equals_brute_force_over_profiles(self, sizes, data):
+        labels = [f"b{b}" for b, size in enumerate(sizes) for _ in range(size)]
+        labels = data.draw(st.permutations(labels))
+        values = data.draw(st.lists(GROUPED_PS, min_size=len(labels), max_size=len(labels)))
+        groups = GroupPartition.from_labels(labels)
+        ps = pv(*values)
+        want = profile_maxima(ps, groups)
+        for r in range(1, len(ps) + 1):
+            got = structured_gbhpc(ps, r, groups)
+            assert got.log_value == want[len(ps) - r + 1], r
+
+    def test_thirty_blocks_of_three_stay_polynomial(self):
+        # Exponential in the number of blocks when profiles are enumerated;
+        # the curve at n = 90 takes about a second.
+        rng = np.random.default_rng(71)
+        groups = GroupPartition.from_labels([f"b{i // 3}" for i in range(90)])
+        ps = pv(*rng.random(90))
+        start = time.perf_counter()
+        curve = pc_curve(ps, 0.05, groups=groups)
+        assert time.perf_counter() - start < 10.0
+        assert curve.method == "gbhpc:structured" and len(curve.entries) == 90
 
 
 class TestExtractComponent:

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from pcmeta.combiners import ROW_KERNELS, CombinerSpec, combine_stouffer_weighted
-from pcmeta.errors import InputValidationError
+from pcmeta.errors import EnumerationBudgetError, InputValidationError
 from pcmeta.numerics import ProbValue
 from pcmeta.partial_conjunction import bhpc, gbhpc_enumerate
 from pcmeta.simulation import (
@@ -46,6 +46,14 @@ class TestConfig:
             make_cfg(methods=("median",))
         with pytest.raises(InputValidationError):
             make_cfg(nonnull_indices=(0, 0))
+
+    def test_stouffer_subset_budget(self):
+        # C(22, 10) = 646,646 subsets fit the 1e6 budget; C(23, 10) = 1,144,066 do not.
+        make_cfg(n=22, r=11, sample_sizes=(100,) * 22)
+        with pytest.raises(EnumerationBudgetError, match=r"C\(23, 10\)"):
+            make_cfg(n=23, r=11, sample_sizes=(100,) * 23)
+        # Without the weighted rule nothing is enumerated.
+        make_cfg(n=23, r=11, sample_sizes=(100,) * 23, methods=("fisher_bhpc",))
 
 
 class TestDraws:
