@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .partial_conjunction import (
     select_construction,
     weighted_subset_combiner,
 )
-from .simulation import METHOD_NAMES, PowerGrid, SimConfig, run_power_map
+from .simulation import SimConfig, run_power_map
 
 CLI_METHODS = ("fisher", "simes", "bonferroni", "tpm", "stouffer")
 
@@ -162,6 +163,12 @@ def cmd_exact2x2(args) -> int:
     return 0
 
 
+# Keys a ``simulate`` config may set: the grid, the r0 list, reps and
+# seed, and the SimConfig fields passed through with SimConfig's defaults.
+_SIM_FIELDS = ("n", "r", "alpha", "methods", "sample_sizes")
+_SIM_KEYS = ("mu0_values", "sigma0_values", "r0", "reps", "seed") + _SIM_FIELDS
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -170,36 +177,32 @@ def cmd_simulate(args) -> int:
         raise InputValidationError(f"cannot read {args.config}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"{args.config} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise InputValidationError(f"{args.config} must hold a JSON object")
+    unknown = sorted(set(raw) - set(_SIM_KEYS))
+    if unknown:
+        raise InputValidationError(f"unknown config keys {unknown}; known: {_SIM_KEYS}")
     mu0_values = raw.get("mu0_values", [round(0.02 + 0.042 * i, 4) for i in range(10)])
     sigma0_values = raw.get(
         "sigma0_values", [round(0.01 + 0.043 * i, 4) for i in range(10)]
     )
     r0_list = raw.get("r0", [2, 4, 6])
-    if isinstance(r0_list, int):
+    if not isinstance(r0_list, list):
         r0_list = [r0_list]
-    seed = raw.get("seed", args.seed)
-    base = dict(
-        mu0=1.0,
-        sigma0=1.0,
-        reps=int(raw.get("reps", 20000)),
-        seed=int(seed),
-        n=int(raw.get("n", 8)),
-        r=int(raw.get("r", 2)),
-        alpha=float(raw.get("alpha", 0.05)),
-        methods=tuple(raw.get("methods", METHOD_NAMES)),
-    )
-    if "sample_sizes" in raw:
-        base["sample_sizes"] = tuple(int(x) for x in raw["sample_sizes"])
-    all_cells = []
-    for r0 in r0_list:
-        cfg = SimConfig(r0=int(r0), **base)
-        grid = run_power_map(cfg, mu0_values, sigma0_values)
-        all_cells.extend(grid.cells)
-    merged = PowerGrid(
-        mu0_values=tuple(float(v) for v in mu0_values),
-        sigma0_values=tuple(float(v) for v in sigma0_values),
-        cells=tuple(all_cells),
-    )
+    fields = {
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in raw.items()
+        if k in _SIM_FIELDS
+    }
+    configs = [
+        SimConfig(r0=r0, mu0=1.0, sigma0=1.0, reps=raw.get("reps", 20000),
+                  seed=raw.get("seed", args.seed), **fields)
+        for r0 in r0_list
+    ]
+    if not configs:
+        raise InputValidationError("r0 must list at least one non-null count")
+    grids = [run_power_map(cfg, mu0_values, sigma0_values) for cfg in configs]
+    merged = replace(grids[0], cells=tuple(c for grid in grids for c in grid.cells))
     text = pio.power_grid_to_csv(merged)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -390,6 +393,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
+        if getattr(args, "seed", 0) < 0:
+            raise InputValidationError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except PcmetaError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -241,8 +241,9 @@ def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:
             [ w * sum_{s<k} (k ln gamma - ln w)^s / s!   if w <= gamma^k
               gamma^k                                    otherwise ]
 
-    plus the k = 0 term (1-gamma)^L, which only enters at w = 1.  With
-    gamma = 1 this reduces exactly to Fisher's method.
+    plus the k = 0 term (1-gamma)^L.  No p <= gamma returns 1 before the
+    sum, and otherwise w = 1 needs gamma = 1, where that term is 0, so the
+    sum leaves it out.  With gamma = 1 this reduces exactly to Fisher's method.
     """
     _require_nonempty(ps)
     if not (0.0 < gamma <= 1.0):
@@ -267,8 +268,6 @@ def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:
             terms.append(base + log_w + inner)
         else:
             terms.append(base + k * log_gamma)
-    if log_w == 0.0 and log_1mg != _NEG_INF:
-        terms.append(L * log_1mg)
     return ProbValue.from_log(min(0.0, log_sum_exp(terms)))
 
 

@@ -9,14 +9,17 @@ what makes the tests level alpha under arbitrary fixed conditioning,
 yet they dominate ``phi`` pointwise: monotonicity is the only thing
 ruling such tests out.
 
-The diagonal squares are open boxes (k*alpha, (k+1)*alpha)^2 with the
-largest k such that (k+1)*alpha <= 1 - alpha.  Open edges keep every
-component disjoint from the closed base square and the corner set and
-keep the worst slice measure exactly alpha, boundary lines included;
-the boundary itself carries no probability under continuous draws.
+Every component is a square on the diagonal.  The base [0, alpha]^2
+and the corner [corner_lo, 1]^2 are closed, except that the corner's
+lower edge is open when it lies on the base (alpha >= 1/2).  The
+diagonal squares are open boxes (k*alpha, (k+1)*alpha)^2 with the
+largest k such that (k+1)*alpha <= 1 - alpha.  These edges keep the
+components disjoint and the worst slice measure exactly alpha, boundary
+lines included, for every alpha; the boundary itself carries no
+probability under continuous draws.
 
 ``slice_validity`` verifies the slice bound analytically from the
-rectangle decomposition, and ``power_grid_2d`` estimates power maps for
+square decomposition, and ``power_grid_2d`` estimates power maps for
 two-sided normal tests with per-grid-point seeded streams, so powers of
 different tests at the same (seed, grid) share draws.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
@@ -48,41 +51,26 @@ __all__ = [
     "TEST_NAMES",
 ]
 
-TEST_NAMES = ("phi", "phi_prime", "phi_tilde")
-
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle [x0,x1] x [y0,y1] with edge-inclusion flags.
+    """The square [x0, x1]^2 on the diagonal.
 
-    ``closed`` marks (x0, x1, y0, y1) edges as included; interiors are
-    always included.
+    ``closed`` marks the (lower, upper) edges as included, on both axes
+    alike; interiors are always included.
     """
 
     x0: float
     x1: float
-    y0: float
-    y1: float
-    closed: tuple[bool, bool, bool, bool] = (True, True, True, True)
+    closed: tuple[bool, bool] = (True, True)
 
-    def covers_x(self, x: float) -> bool:
-        lo = self.x0 <= x if self.closed[0] else self.x0 < x
-        hi = x <= self.x1 if self.closed[1] else x < self.x1
-        return lo and hi
+    def covers(self, x):
+        above = self.x0 <= x if self.closed[0] else self.x0 < x
+        below = x <= self.x1 if self.closed[1] else x < self.x1
+        return above & below
 
     def contains(self, x, y):
-        cx0, cx1, cy0, cy1 = self.closed
-        in_x = (self.x0 <= x if cx0 else self.x0 < x) & (
-            x <= self.x1 if cx1 else x < self.x1
-        )
-        in_y = (self.y0 <= y if cy0 else self.y0 < y) & (
-            y <= self.y1 if cy1 else y < self.y1
-        )
-        return in_x & in_y
-
-    def transpose(self) -> "Rect":
-        cx0, cx1, cy0, cy1 = self.closed
-        return Rect(self.y0, self.y1, self.x0, self.x1, (cy0, cy1, cx0, cx1))
+        return self.covers(x) & self.covers(y)
 
 
 @dataclass(frozen=True)
@@ -90,12 +78,12 @@ class RejectionRegion2D:
     """Union of the base square, an optional corner set, and diagonal squares.
 
     * base: {max(p1, p2) <= alpha}, closed;
-    * corner: {min(p1, p2) >= corner_lo}, closed (None = absent);
+    * corner: {min(p1, p2) >= corner_lo}, closed but for a lower edge on
+      the base (None = absent);
     * diagonal_squares: open boxes (lo, hi)^2.
     """
 
     alpha: float
-    base: bool = True
     corner_lo: float | None = None
     diagonal_squares: tuple[tuple[float, float], ...] = ()
 
@@ -104,15 +92,10 @@ class RejectionRegion2D:
             raise InputValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
 
     def rectangles(self) -> list[Rect]:
-        rects: list[Rect] = []
-        if self.base:
-            rects.append(Rect(0.0, self.alpha, 0.0, self.alpha))
+        rects = [Rect(0.0, self.alpha)]
         if self.corner_lo is not None:
-            rects.append(Rect(self.corner_lo, 1.0, self.corner_lo, 1.0))
-        rects.extend(
-            Rect(lo, hi, lo, hi, (False, False, False, False))
-            for lo, hi in self.diagonal_squares
-        )
+            rects.append(Rect(self.corner_lo, 1.0, (self.corner_lo > self.alpha, True)))
+        rects.extend(Rect(lo, hi, (False, False)) for lo, hi in self.diagonal_squares)
         return rects
 
     def contains(self, p1, p2):
@@ -164,28 +147,30 @@ def region_phi_tilde(alpha: float) -> RejectionRegion2D:
     )
 
 
-def _check_unit(p1: float, p2: float) -> None:
+_REGIONS = {"phi": region_phi, "phi_prime": region_phi_prime, "phi_tilde": region_phi_tilde}
+TEST_NAMES = tuple(_REGIONS)
+
+
+def _decide(region: Callable[[float], RejectionRegion2D], p1, p2, alpha) -> int:
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
         raise InputValidationError(f"p-values outside [0, 1]: {(p1, p2)!r}")
+    return int(bool(region(alpha).contains(p1, p2)))
 
 
 def phi(p1: float, p2: float, alpha: float) -> int:
     """1 iff max(p1, p2) <= alpha (boundary included)."""
-    _check_unit(p1, p2)
-    return int(max(p1, p2) <= alpha)
+    return _decide(region_phi, p1, p2, alpha)
 
 
 def phi_prime(p1: float, p2: float, alpha: float) -> int:
-    """phi plus the corner square {min(p1, p2) >= 1-alpha} (or >= alpha
+    """phi plus the corner square {min(p1, p2) >= 1-alpha} (or > alpha
     when alpha >= 1/2)."""
-    _check_unit(p1, p2)
-    return int(bool(region_phi_prime(alpha).contains(p1, p2)))
+    return _decide(region_phi_prime, p1, p2, alpha)
 
 
 def phi_tilde(p1: float, p2: float, alpha: float) -> int:
     """phi_prime plus the open diagonal squares; alpha must be < 1/2."""
-    _check_unit(p1, p2)
-    return int(bool(region_phi_tilde(alpha).contains(p1, p2)))
+    return _decide(region_phi_tilde, p1, p2, alpha)
 
 
 def _merged_length(intervals: list[tuple[float, float]]) -> float:
@@ -204,36 +189,23 @@ def _merged_length(intervals: list[tuple[float, float]]) -> float:
     return total + (cur_hi - cur_lo)
 
 
-def _max_slice(rects: Sequence[Rect], extra_probes: Iterable[float]) -> float:
-    """sup over x of the y-measure of the slice through a rect union.
-
-    The slice measure is piecewise constant in x with breakpoints at the
-    rectangles' x-edges, so probing every breakpoint and every interval
-    midpoint gives the exact supremum.  ``extra_probes`` adds defensive
-    sample positions; they cannot change the result.
-    """
-    edges = sorted({0.0, 1.0, *(r.x0 for r in rects), *(r.x1 for r in rects)})
-    probes = list(edges)
-    probes.extend((a + b) / 2.0 for a, b in zip(edges, edges[1:]))
-    probes.extend(extra_probes)
-    worst = 0.0
-    for x in probes:
-        intervals = [(r.y0, r.y1) for r in rects if r.covers_x(x)]
-        worst = max(worst, _merged_length(intervals))
-    return worst
-
-
-def slice_validity(region: RejectionRegion2D, n_grid: int = 256) -> float:
+def slice_validity(region: RejectionRegion2D) -> float:
     """Exact supremum over 1-D slices (both axes) of the slice measure.
 
-    A level-alpha region built from per-slice bounds must return at most
-    alpha here; anything larger pinpoints a validity violation.
+    Every component is a square on the diagonal with the same edges on
+    both axes, so the slices p1 = x and p2 = x have the same measure and
+    one sweep covers both axes.  That measure is piecewise constant in x
+    with breakpoints at the square edges, so probing every edge and
+    every midpoint between edges gives the exact supremum.  A level-alpha
+    region built from per-slice bounds must return at most alpha here;
+    anything larger pinpoints a validity violation.
     """
     rects = region.rectangles()
-    grid = [i / n_grid for i in range(n_grid + 1)] if n_grid > 0 else []
-    sup_x = _max_slice(rects, grid)
-    sup_y = _max_slice([r.transpose() for r in rects], grid)
-    return max(sup_x, sup_y)
+    edges = sorted({0.0, 1.0, *(r.x0 for r in rects), *(r.x1 for r in rects)})
+    probes = edges + [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+    return max(
+        _merged_length([(r.x0, r.x1) for r in rects if r.covers(x)]) for x in probes
+    )
 
 
 @dataclass(frozen=True)
@@ -276,11 +248,7 @@ def power_grid_2d(
         raise InputValidationError(f"unknown test {test!r}; pick one of {TEST_NAMES}")
     if reps < 10**4:
         raise InputValidationError(f"reps must be at least 1e4, got {reps}")
-    region = {
-        "phi": region_phi,
-        "phi_prime": region_phi_prime,
-        "phi_tilde": region_phi_tilde,
-    }[test](alpha)
+    region = _REGIONS[test](alpha)
     points: list[PowerPoint] = []
     for i, mu1 in enumerate(mu_grid):
         for j, mu2 in enumerate(mu_grid):

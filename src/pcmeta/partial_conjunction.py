@@ -475,7 +475,6 @@ def select_construction(
     spec: CombinerSpec | None = None,
     groups: GroupPartition | None = None,
     g: SubsetCombinerFactory | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> tuple[str, Callable[[int], ProbValue]]:
     """Check the inputs of a PC analysis and select its construction.
 
@@ -496,7 +495,7 @@ def select_construction(
         return f"bhpc:{spec.method}", lambda r: bhpc(ps, r, spec)
     if groups is not None:
         return "gbhpc:structured", lambda r: structured_gbhpc(ps, r, groups)
-    return "gbhpc:enumerate", lambda r: gbhpc_enumerate(ps, r, g, budget=budget)
+    return "gbhpc:enumerate", lambda r: gbhpc_enumerate(ps, r, g, DEFAULT_ENUMERATION_BUDGET)
 
 
 def pc_curve(
@@ -506,14 +505,11 @@ def pc_curve(
     spec: CombinerSpec | None = None,
     groups: GroupPartition | None = None,
     g: SubsetCombinerFactory | None = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> PcCurve:
     """PC p-values for every r = 1..n and the confidence set for r.
 
     The construction is chosen by ``select_construction``.
     """
-    method, evaluate = select_construction(
-        ps, alpha, spec=spec, groups=groups, g=g, budget=budget
-    )
+    method, evaluate = select_construction(ps, alpha, spec=spec, groups=groups, g=g)
     entries = tuple(PcEntry(r, evaluate(r)) for r in range(1, len(ps) + 1))
     return PcCurve(n=len(ps), method=method, alpha=alpha, entries=entries)

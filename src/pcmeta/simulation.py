@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +46,19 @@ __all__ = [
 METHOD_NAMES = ("fisher_bhpc", "simes_bhpc", "stouffer_gbhpc")
 
 
+_KINDS = {Integral: "an integer", Real: "a number", str: "a string"}
+
+
+def _check_kind(name: str, value, kind: type, *, listed: bool = False) -> None:
+    """Raise unless ``value`` is a ``kind`` (a bool is not a number) or,
+    when ``listed``, a list, tuple or array of them."""
+    if listed and not isinstance(value, (list, tuple, np.ndarray)):
+        raise InputValidationError(f"{name} must be a list, got {value!r}")
+    for v in value if listed else [value]:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise InputValidationError(f"{name}: {v!r} is not {_KINDS[kind]}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one power-map run (a single true non-null count)."""
@@ -65,6 +79,14 @@ class SimConfig:
     nonnull_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("r0", "reps", "seed", "n", "r"):
+            _check_kind(name, getattr(self, name), Integral)
+        for name in ("mu0", "sigma0", "alpha"):
+            _check_kind(name, getattr(self, name), Real)
+        _check_kind("sample_sizes", self.sample_sizes, Integral, listed=True)
+        _check_kind("methods", self.methods, str, listed=True)
+        if self.seed < 0:
+            raise InputValidationError(f"seed must be non-negative, got {self.seed}")
         if self.n < 1 or len(self.sample_sizes) != self.n:
             raise InputValidationError("sample_sizes must have length n")
         if any(s <= 0 for s in self.sample_sizes):
@@ -73,8 +95,8 @@ class SimConfig:
             raise InputValidationError(f"r0 must be in 0..{self.n}, got {self.r0}")
         if not (1 <= self.r <= self.n):
             raise InputValidationError(f"r must be in 1..{self.n}, got {self.r}")
-        if self.mu0 <= 0 or self.sigma0 <= 0:
-            raise InputValidationError("mu0 and sigma0 must be positive")
+        if not (0 < self.mu0 < math.inf and 0 < self.sigma0 < math.inf):
+            raise InputValidationError("mu0 and sigma0 must be positive and finite")
         if self.reps < 10**3:
             raise InputValidationError(f"reps must be at least 1e3, got {self.reps}")
         if not (0.0 < self.alpha < 1.0):
@@ -190,28 +212,32 @@ def run_power_map(
     """Power of each configured method over the (mu0, sigma0) grid.
 
     cfg.mu0/cfg.sigma0 are overridden cell by cell; everything else is
-    taken from cfg.  Deterministic given (cfg.seed, grid).
+    taken from cfg.  Every cell is validated before the first draw.
+    Deterministic given (cfg.seed, grid).
     """
+    _check_kind("mu0_values", mu0_values, Real, listed=True)
+    _check_kind("sigma0_values", sigma0_values, Real, listed=True)
+    cell_cfgs = [
+        replace(cfg, mu0=float(mu0), sigma0=float(sigma0))
+        for mu0 in mu0_values
+        for sigma0 in sigma0_values
+    ]
     cells: list[PowerCell] = []
-    cell_index = 0
-    for mu0 in mu0_values:
-        for sigma0 in sigma0_values:
-            cell_cfg = replace(cfg, mu0=float(mu0), sigma0=float(sigma0))
-            rng = np.random.default_rng([cfg.seed, cfg.r0, cell_index])
-            powers = _cell_powers(cell_cfg, rng)
-            for method in cfg.methods:
-                p = powers[method]
-                cells.append(
-                    PowerCell(
-                        mu0=float(mu0),
-                        sigma0=float(sigma0),
-                        method=method,
-                        r0=cfg.r0,
-                        power=p,
-                        se=math.sqrt(p * (1.0 - p) / cfg.reps),
-                    )
+    for cell_index, cell_cfg in enumerate(cell_cfgs):
+        rng = np.random.default_rng([cfg.seed, cfg.r0, cell_index])
+        powers = _cell_powers(cell_cfg, rng)
+        for method in cfg.methods:
+            p = powers[method]
+            cells.append(
+                PowerCell(
+                    mu0=cell_cfg.mu0,
+                    sigma0=cell_cfg.sigma0,
+                    method=method,
+                    r0=cfg.r0,
+                    power=p,
+                    se=math.sqrt(p * (1.0 - p) / cfg.reps),
                 )
-            cell_index += 1
+            )
     return PowerGrid(
         mu0_values=tuple(float(v) for v in mu0_values),
         sigma0_values=tuple(float(v) for v in sigma0_values),

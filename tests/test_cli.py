@@ -277,10 +277,27 @@ class TestSimulateCommand:
 
     def test_bad_config(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text("{not json")
-        code, _, err = run_cli(capsys, "simulate", str(config), "--out",
-                               str(tmp_path / "x.csv"))
-        assert code == 2 and json.loads(err)["error"] == "InputValidationError"
+        for text in (
+            "{not json",
+            "[1, 2]",  # not an object
+            '{"reps": "abc"}',
+            '{"rep": 5, "reps": 2000}',  # misspelt key
+            '{"methods": "fisher_bhpc", "reps": 2000}',  # a name, not a list
+            '{"n": 8.5}',
+            '{"alpha": true}',
+            '{"r0": [2, "x"], "reps": 2000}',
+            '{"r0": [], "reps": 2000}',
+            '{"mu0_values": 0.5, "reps": 2000}',
+            '{"mu0_values": ["a"], "reps": 2000}',
+            '{"sigma0_values": [0.05, 0.0], "reps": 2000}',
+            '{"sample_sizes": 100}',
+            '{"seed": -1, "reps": 2000}',
+        ):
+            config.write_text(text)
+            code, _, err = run_cli(capsys, "simulate", str(config), "--out",
+                                   str(tmp_path / "x.csv"))
+            assert code == 2 and json.loads(err)["error"] == "InputValidationError"
+            assert not (tmp_path / "x.csv").exists(), text
 
 
 class TestCounterexampleCommand:
@@ -299,6 +316,12 @@ class TestCounterexampleCommand:
             powers.setdefault(key, {})[row["test"]] = float(row["power"])
         for key, by_test in powers.items():
             assert by_test["phi_tilde"] >= by_test["phi"], key
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "counterexample", "--grid", "2", "--reps",
+                               "10000", "--seed", "-1", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and json.loads(err)["error"] == "InputValidationError"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestDatasetCommand:

@@ -31,6 +31,8 @@ class TestIndicators:
         # large alpha switches the corner to min(p) >= alpha
         assert phi_prime(0.65, 0.7, 0.6) == 1
         assert phi_prime(0.65, 0.55, 0.6) == 0
+        # the corner's lower edge is open where it meets the base's edge
+        assert phi_prime(0.6, 0.9, 0.6) == 0
 
     def test_phi_tilde_examples(self):
         assert phi_tilde(0.3, 0.35, 0.2) == 1  # inside the (0.2, 0.4) square
@@ -86,14 +88,14 @@ class TestRegions:
 
 class TestSliceValidity:
     def test_phi_slice_is_alpha(self):
-        for alpha in (0.05, 0.1, 0.2, 0.7):
+        for alpha in (0.05, 0.1, 0.2, 0.7, 0.01, 0.03, 0.3, 0.33, 0.45):
             assert slice_validity(region_phi(alpha)) == alpha
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.01, 0.03, 0.3, 0.33, 0.45])
     def test_phi_tilde_slice_exactly_alpha(self, alpha):
         assert slice_validity(region_phi_tilde(alpha)) == alpha
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2, 0.5, 0.6, 0.7, 0.9])
     def test_phi_prime_slice_exactly_alpha(self, alpha):
         assert slice_validity(region_phi_prime(alpha)) == alpha
 

@@ -46,6 +46,20 @@ class TestConfig:
             make_cfg(methods=("median",))
         with pytest.raises(InputValidationError):
             make_cfg(nonnull_indices=(0, 0))
+        with pytest.raises(InputValidationError):
+            make_cfg(reps="2000")
+        with pytest.raises(InputValidationError):
+            make_cfg(n=8.0)
+        with pytest.raises(InputValidationError):
+            make_cfg(seed=-1)
+        with pytest.raises(InputValidationError):
+            make_cfg(methods="fisher_bhpc")
+        with pytest.raises(InputValidationError):
+            make_cfg(sample_sizes=(100,) * 7 + (True,))
+        with pytest.raises(InputValidationError):
+            make_cfg(mu0=math.inf)
+        with pytest.raises(InputValidationError):  # a NaN sigma0 in the grid
+            run_power_map(make_cfg(), [0.1, 0.2], [0.05, math.nan])
 
     def test_stouffer_subset_budget(self):
         # C(22, 10) = 646,646 subsets fit the 1e6 budget; C(23, 10) = 1,144,066 do not.
