@@ -22,7 +22,6 @@ from . import io as pio
 from .combiners import CombinerSpec, combine, fisher_exact_2x2
 from .counterexample import TEST_NAMES, power_grid_2d
 from .errors import InputValidationError, NonConvergenceError, PcmetaError
-from .numerics import ProbValue
 from .oracle import NullConfig, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
     bhpc,
@@ -91,6 +90,8 @@ def cmd_pc(args) -> int:
     n = len(ps)
     kwargs = {}
     if args.groups:
+        if args.method != "fisher" or args.enumerate:
+            raise InputValidationError("--groups takes no --method or --enumerate")
         kwargs["groups"] = pio.partition_from_records(records)
     elif args.method == "stouffer":
         kwargs["g"] = weighted_subset_combiner(_weights_for(args, records))
@@ -211,6 +212,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.grid < 1 or not math.isfinite(args.mu_max):
+        raise InputValidationError("--grid must be at least 1 and --mu-max finite")
     mu_grid = list(np.linspace(0.0, args.mu_max, args.grid))
     grids = [
         power_grid_2d(test, mu_grid, args.alpha, args.reps, args.seed)

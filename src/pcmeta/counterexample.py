@@ -248,6 +248,8 @@ def power_grid_2d(
         raise InputValidationError(f"unknown test {test!r}; pick one of {TEST_NAMES}")
     if reps < 10**4:
         raise InputValidationError(f"reps must be at least 1e4, got {reps}")
+    if len(mu_grid) == 0 or not all(math.isfinite(mu) for mu in mu_grid):
+        raise InputValidationError("mu_grid must hold at least one finite mean")
     region = _REGIONS[test](alpha)
     points: list[PowerPoint] = []
     for i, mu1 in enumerate(mu_grid):

@@ -83,16 +83,13 @@ def mc_validity(
         raise InputValidationError("alphas must lie in (0, 1)")
     rng = np.random.default_rng([seed])
     log_p = _draw_log_p(null_config, rng, reps)
-    log_alphas = [math.log(a) for a in alpha_list]
-    counts = [0] * len(log_alphas)
-    for row in log_p:
-        value = rule([ProbValue.from_log(min(0.0, v)) for v in row]).log_value
-        for i, la in enumerate(log_alphas):
-            if value <= la:
-                counts[i] += 1
+    values = np.array([
+        rule([ProbValue.from_log(min(0.0, v)) for v in row.tolist()]).log_value
+        for row in log_p
+    ])
     out = []
-    for alpha, c in zip(alpha_list, counts):
-        rate = c / reps
+    for alpha in alpha_list:
+        rate = int(np.count_nonzero(values <= math.log(alpha))) / reps
         se = math.sqrt(rate * (1.0 - rate) / reps)
         bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / reps)
         out.append(ValidityEstimate(alpha, rate, se, bound, rate <= bound))

@@ -9,12 +9,14 @@ constructions are implemented:
 * ``gbhpc_enumerate``: the generalized form, the maximum of per-subset
   valid combiners g_u over all subsets u of size n-r+1.  Non-symmetric
   g_u (e.g. a weighted z-rule with weights bound to study indices) are
-  expressed through a factory that receives the original indices.
-  The library factories ``fixed_subset_combiner`` (Fisher, Simes,
-  Bonferroni) and ``weighted_subset_combiner`` also carry an array
-  form, which screens subsets in chunks before the best are rescored
-  with the scalar rule, so the result stays exact; any other callable
-  factory, and TPM, runs the scalar loop over every subset.
+  expressed through a factory that receives the original indices.  The
+  library factories ``fixed_subset_combiner`` (Fisher, Simes, Bonferroni)
+  and ``weighted_subset_combiner`` also carry an array form, which
+  screens subsets in chunks before the scalar rule rescores the best, so
+  the result stays exact; other factories, and TPM, run the scalar loop.
+
+Monte Carlo studies use the row forms ``bhpc_rows`` and
+``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
 
 ``structured_gbhpc`` is the fast path for the grouped construction used
 on the anticoagulant subgroup data: within each independence block the
@@ -37,6 +39,7 @@ from itertools import chain, combinations, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import special
 
 from .combiners import (
     ROW_KERNELS,
@@ -59,9 +62,11 @@ __all__ = [
     "PcEntry",
     "PcCurve",
     "bhpc",
+    "bhpc_rows",
     "gbhpc_enumerate",
     "fixed_subset_combiner",
     "weighted_subset_combiner",
+    "weighted_gbhpc_rows",
     "structured_subset_combiner",
     "structured_gbhpc",
     "extract_component",
@@ -191,6 +196,14 @@ def bhpc(
             )
         return combine(spec, _largest_tail(ps, r))
     return spec(_largest_tail(ps, r))
+
+
+def bhpc_rows(log_p: np.ndarray, r: int, spec: CombinerSpec) -> np.ndarray:
+    """``bhpc`` of each row of a (reps, n) array of log p-values, to roundoff."""
+    _check_r(log_p.shape[1], r)
+    if spec.method not in ROW_KERNELS:  # TPM and the weighted rule have none
+        raise InputValidationError(f"{spec.method!r} has no drop-smallest row form")
+    return ROW_KERNELS[spec.method](np.sort(log_p, axis=1)[:, r - 1 :])
 
 
 class _ArrayFactory:
@@ -345,6 +358,28 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
         return lambda idx: log_stouffer_rows(z[idx], w[idx])
 
     return _ArrayFactory(factory, bind)
+
+
+def weighted_gbhpc_rows(log_p: np.ndarray, r: int, weights: Sequence[float]) -> np.ndarray:
+    """``gbhpc_enumerate`` with ``weighted_subset_combiner(weights)`` on each
+    row of a (reps, n) array of log p-values, to roundoff for p in (0, 1).
+
+    In z-space (one ``ndtri_exp`` per study, one weighted sum per subset,
+    one ``log_ndtr`` per row) it costs about half of ``log_stouffer_rows``.
+    """
+    n = log_p.shape[1]
+    _check_r(n, r)
+    _check_budget(n, r)
+    w = np.array(weights, dtype=float)
+    _check_weights(tuple(w))
+    if len(w) != n:
+        raise InputValidationError(f"{len(w)} weights for {n} p-values")
+    z = -special.ndtri_exp(log_p)
+    low = np.full(log_p.shape[0], math.inf)
+    for u in combinations(range(n), n - r + 1):
+        w_u = w[list(u)]
+        np.minimum(low, z[:, list(u)] @ w_u / math.sqrt(float(w_u @ w_u)), out=low)
+    return special.log_ndtr(-low)
 
 
 def _grouped_value(

@@ -11,28 +11,25 @@ every subset of size n-r+1, so a config selecting it with C(n, r-1)
 above ``DEFAULT_ENUMERATION_BUDGET`` raises ``EnumerationBudgetError``
 before any draw, as ``gbhpc_enumerate`` does.
 
-Cells are evaluated with numpy-vectorized replicates; the per-cell RNG
-stream is keyed by (seed, r0, cell index), so results are bit-identical
-across runs regardless of evaluation order.  The drop-smallest rules
-use ``combiners.ROW_KERNELS``; the scalar path (combiners and PC
-modules) is equivalent and is cross-checked in the test suite.
+This module holds the study design; ``partial_conjunction.bhpc_rows``
+and ``weighted_gbhpc_rows`` score each cell's (reps, n) log p-values.
+The per-cell RNG stream is keyed by (seed, r0, cell index), so results
+are bit-identical across runs regardless of evaluation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from numbers import Integral, Real
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import special
 
-from .combiners import ROW_KERNELS
+from .combiners import CombinerSpec
 from .errors import InputValidationError
 from .numerics import ProbValue, two_sided_log_p
-from .partial_conjunction import _check_budget
+from .partial_conjunction import _check_budget, bhpc_rows, weighted_gbhpc_rows
 
 __all__ = [
     "SimConfig",
@@ -43,7 +40,15 @@ __all__ = [
     "run_power_map",
 ]
 
-METHOD_NAMES = ("fisher_bhpc", "simes_bhpc", "stouffer_gbhpc")
+# Each method's PC rule at cfg.r: one log p per row of a (reps, n) array.
+_RULES = {
+    "fisher_bhpc": lambda log_p, cfg: bhpc_rows(log_p, cfg.r, CombinerSpec("fisher")),
+    "simes_bhpc": lambda log_p, cfg: bhpc_rows(log_p, cfg.r, CombinerSpec("simes")),
+    "stouffer_gbhpc": lambda log_p, cfg: weighted_gbhpc_rows(
+        log_p, cfg.r, np.sqrt(cfg.sample_sizes)
+    ),
+}
+METHOD_NAMES = tuple(_RULES)
 
 
 _KINDS = {Integral: "an integer", Real: "a number", str: "a string"}
@@ -51,9 +56,9 @@ _KINDS = {Integral: "an integer", Real: "a number", str: "a string"}
 
 def _check_kind(name: str, value, kind: type, *, listed: bool = False) -> None:
     """Raise unless ``value`` is a ``kind`` (a bool is not a number) or,
-    when ``listed``, a list, tuple or array of them."""
-    if listed and not isinstance(value, (list, tuple, np.ndarray)):
-        raise InputValidationError(f"{name} must be a list, got {value!r}")
+    when ``listed``, a non-empty list, tuple or array of them."""
+    if listed and (not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0):
+        raise InputValidationError(f"{name} must be a non-empty list, got {value!r}")
     for v in value if listed else [value]:
         if isinstance(v, bool) or not isinstance(v, kind):
             raise InputValidationError(f"{name}: {v!r} is not {_KINDS[kind]}")
@@ -160,50 +165,6 @@ def draw_study_pvalues(cfg: SimConfig, rng: np.random.Generator) -> list[ProbVal
     return [ProbValue.from_log(min(0.0, v)) for v in row]
 
 
-def _reject_bhpc(
-    log_p: np.ndarray, r: int, rows: Callable[[np.ndarray], np.ndarray], log_alpha: float
-) -> np.ndarray:
-    """Reject iff the row rule on the n-r+1 largest p-values is <= alpha."""
-    kept = np.sort(log_p, axis=1)[:, r - 1 :]
-    return rows(kept) <= log_alpha
-
-
-def _reject_stouffer_gbhpc(
-    log_p: np.ndarray, r: int, weights: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Reject iff max over subsets u (|u| = n-r+1) of the weighted
-    z-rule p-value is <= alpha, i.e. min over u of z_u >= z_alpha.
-
-    Kept in z-space: one ``ndtri_exp`` per study and a compare per subset
-    took 2.8 s on the default 300-cell ``simulate`` config (6e6 rows, 2-core
-    Xeon VM), ``log_stouffer_rows`` per subset 5.3 s, 0 decisions differing.
-    """
-    n = log_p.shape[1]
-    z = -special.ndtri_exp(log_p)
-    z_alpha = -special.ndtri(alpha)
-    ok = np.ones(log_p.shape[0], dtype=bool)
-    for u in combinations(range(n), n - r + 1):
-        w = weights[list(u)]
-        z_u = z[:, list(u)] @ w / math.sqrt(float(w @ w))
-        ok &= z_u >= z_alpha
-    return ok
-
-
-def _cell_powers(cfg: SimConfig, rng: np.random.Generator) -> dict[str, float]:
-    log_p = _draw_log_pvalues(cfg, rng, cfg.reps)
-    log_alpha = math.log(cfg.alpha)
-    out: dict[str, float] = {}
-    for method in cfg.methods:
-        if method == "stouffer_gbhpc":
-            weights = np.sqrt(np.array(cfg.sample_sizes, dtype=float))
-            hits = _reject_stouffer_gbhpc(log_p, cfg.r, weights, cfg.alpha)
-        else:
-            rows = ROW_KERNELS[method.removesuffix("_bhpc")]
-            hits = _reject_bhpc(log_p, cfg.r, rows, log_alpha)
-        out[method] = float(np.mean(hits))
-    return out
-
-
 def run_power_map(
     cfg: SimConfig,
     mu0_values: Sequence[float],
@@ -218,16 +179,16 @@ def run_power_map(
     _check_kind("mu0_values", mu0_values, Real, listed=True)
     _check_kind("sigma0_values", sigma0_values, Real, listed=True)
     cell_cfgs = [
-        replace(cfg, mu0=float(mu0), sigma0=float(sigma0))
+        replace(cfg, mu0=float(mu0), sigma0=float(sigma0), r=int(cfg.r))
         for mu0 in mu0_values
         for sigma0 in sigma0_values
     ]
     cells: list[PowerCell] = []
     for cell_index, cell_cfg in enumerate(cell_cfgs):
         rng = np.random.default_rng([cfg.seed, cfg.r0, cell_index])
-        powers = _cell_powers(cell_cfg, rng)
+        log_p = _draw_log_pvalues(cell_cfg, rng, cfg.reps)
         for method in cfg.methods:
-            p = powers[method]
+            p = float(np.mean(_RULES[method](log_p, cell_cfg) <= math.log(cfg.alpha)))
             cells.append(
                 PowerCell(
                     mu0=cell_cfg.mu0,
@@ -238,6 +199,7 @@ def run_power_map(
                     se=math.sqrt(p * (1.0 - p) / cfg.reps),
                 )
             )
+        del log_p  # so that the next cell's draw does not overlap this one
     return PowerGrid(
         mu0_values=tuple(float(v) for v in mu0_values),
         sigma0_values=tuple(float(v) for v in sigma0_values),

@@ -9,6 +9,7 @@ import pytest
 
 from pcmeta import cli
 from pcmeta import io as pio
+from pcmeta.counterexample import power_grid_2d
 from pcmeta.errors import InputValidationError, NonConvergenceError
 from pcmeta.numerics import ProbValue
 
@@ -207,6 +208,15 @@ class TestPcCommand:
         code, _, err = run_cli(capsys, "pc", pvalue_csv, "--r", "99", "--alpha", "2")
         assert code == 2 and "alpha" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("extra", [["--method", "simes"], ["--method", "stouffer"],
+                                       ["--method", "tpm", "--gamma", "0.2"],
+                                       ["--enumerate"]])
+    def test_groups_rejects_method_and_enumerate(self, pvalue_csv, capsys, extra):
+        # The grouped rule is fixed (Fisher within blocks, Bonferroni across).
+        code, out, err = run_cli(capsys, "pc", pvalue_csv, "--r", "3", "--groups", *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+
     def test_single_r_computes_one_entry(self, pvalue_csv, capsys, monkeypatch):
         from pcmeta import partial_conjunction
 
@@ -292,6 +302,9 @@ class TestSimulateCommand:
             '{"sigma0_values": [0.05, 0.0], "reps": 2000}',
             '{"sample_sizes": 100}',
             '{"seed": -1, "reps": 2000}',
+            '{"mu0_values": [], "reps": 2000}',  # an empty grid computes nothing
+            '{"sigma0_values": [], "reps": 2000}',
+            '{"methods": [], "reps": 2000}',
         ):
             config.write_text(text)
             code, _, err = run_cli(capsys, "simulate", str(config), "--out",
@@ -322,6 +335,19 @@ class TestCounterexampleCommand:
                                "10000", "--seed", "-1", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and json.loads(err)["error"] == "InputValidationError"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("bad", [["--grid", "-1"], ["--grid", "0"],
+                                     ["--mu-max", "nan"], ["--mu-max", "inf"]])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, bad):
+        code, _, err = run_cli(capsys, "counterexample", "--grid", "3", "--reps", "10000",
+                               *bad, "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and json.loads(err)["error"] == "InputValidationError"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("mu_grid", [[], [0.0, math.nan], [math.inf]])
+    def test_power_grid_rejects_bad_means(self, mu_grid):
+        with pytest.raises(InputValidationError):
+            power_grid_2d("phi", mu_grid, 0.1, 10**4, 0)
 
 
 class TestDatasetCommand:

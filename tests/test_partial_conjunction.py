@@ -31,6 +31,7 @@ from pcmeta.partial_conjunction import (
     PcEntry,
     _ArrayFactory,
     bhpc,
+    bhpc_rows,
     extract_component,
     fixed_subset_combiner,
     gbhpc_enumerate,
@@ -38,6 +39,7 @@ from pcmeta.partial_conjunction import (
     select_construction,
     structured_gbhpc,
     structured_subset_combiner,
+    weighted_gbhpc_rows,
     weighted_subset_combiner,
 )
 
@@ -386,6 +388,66 @@ def profile_maxima(ps, groups):
         if kept not in best or value > best[kept]:
             best[kept] = value
     return best
+
+
+def assert_rows_close(rows, scalar):
+    # 1e-12 absolute on log p is 1e-12 relative on p: near p = 1 the
+    # scalar rule may round log p to 0 where the row form keeps ~-1e-21.
+    for got, want in zip(rows.tolist(), scalar):
+        assert math.isclose(got, want.log_value, rel_tol=1e-12, abs_tol=1e-12), (
+            got, want)
+
+
+class TestRowForms:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(GROUPED_PS, min_size=n, max_size=n), min_size=1, max_size=4
+    )))
+    def test_bhpc_rows_equal_bhpc(self, rows):
+        ps = [pv(*row) for row in rows]
+        log_p = np.array([[p.log_value for p in row] for row in ps])
+        for spec in (FISHER, SIMES, BONF):
+            for r in range(1, log_p.shape[1] + 1):
+                assert_rows_close(
+                    bhpc_rows(log_p, r, spec), [bhpc(row, r, spec) for row in ps]
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+            | st.sampled_from((1e-300, 0.05, 0.5)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_weighted_gbhpc_rows_equal_enumeration(self, values, rnd):
+        weights = [rnd.uniform(0.1, 10.0) for _ in values]
+        ps = pv(*values)
+        log_p = np.array([[p.log_value for p in ps]])
+        factory = weighted_subset_combiner(weights)
+        for r in range(1, len(ps) + 1):
+            want = gbhpc_enumerate(ps, r, factory)
+            assert_rows_close(weighted_gbhpc_rows(log_p, r, weights), [want])
+
+    def test_bad_inputs_raise(self):
+        log_p = np.log(np.array([[0.1, 0.2, 0.3, 0.4]]))
+        for r in (0, 5):
+            with pytest.raises(InputValidationError):
+                bhpc_rows(log_p, r, FISHER)
+            with pytest.raises(InputValidationError):
+                weighted_gbhpc_rows(log_p, r, [1.0] * 4)
+        for spec in (CombinerSpec("tpm", tpm_gamma=0.2),
+                     CombinerSpec("stouffer_weighted", weights=(1.0,) * 4)):
+            with pytest.raises(InputValidationError):
+                bhpc_rows(log_p, 2, spec)
+        for weights in ([1.0] * 3, [1.0] * 5, [1, 0, 1, 1], [1, 1, math.nan, 1]):
+            with pytest.raises(InputValidationError):
+                weighted_gbhpc_rows(log_p, 2, weights)
+        # C(30, 14) ~ 1.5e8 subsets: refused before any work.
+        with pytest.raises(EnumerationBudgetError, match=r"C\(30, 14\)"):
+            weighted_gbhpc_rows(np.zeros((1, 30)), 15, [1.0] * 30)
 
 
 class TestStructured:

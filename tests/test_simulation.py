@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pcmeta.combiners import ROW_KERNELS, CombinerSpec, combine_stouffer_weighted
+from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted
 from pcmeta.errors import EnumerationBudgetError, InputValidationError
 from pcmeta.numerics import ProbValue
-from pcmeta.partial_conjunction import bhpc, gbhpc_enumerate
+from pcmeta.partial_conjunction import (
+    bhpc,
+    bhpc_rows,
+    gbhpc_enumerate,
+    weighted_gbhpc_rows,
+)
 from pcmeta.simulation import (
     METHOD_NAMES,
     SimConfig,
     _draw_log_pvalues,
-    _reject_bhpc,
-    _reject_stouffer_gbhpc,
     draw_study_pvalues,
     run_power_map,
 )
@@ -60,6 +63,10 @@ class TestConfig:
             make_cfg(mu0=math.inf)
         with pytest.raises(InputValidationError):  # a NaN sigma0 in the grid
             run_power_map(make_cfg(), [0.1, 0.2], [0.05, math.nan])
+        with pytest.raises(InputValidationError):  # an empty grid computes nothing
+            run_power_map(make_cfg(), [], [0.05])
+        with pytest.raises(InputValidationError):
+            run_power_map(make_cfg(), [0.1], [])
 
     def test_stouffer_subset_budget(self):
         # C(22, 10) = 646,646 subsets fit the 1e6 budget; C(23, 10) = 1,144,066 do not.
@@ -115,9 +122,9 @@ class TestVectorScalarAgreement:
         log_alpha = math.log(cfg.alpha)
         weights = np.sqrt(np.array(cfg.sample_sizes, dtype=float))
 
-        vec_fisher = _reject_bhpc(log_p, cfg.r, ROW_KERNELS["fisher"], log_alpha)
-        vec_simes = _reject_bhpc(log_p, cfg.r, ROW_KERNELS["simes"], log_alpha)
-        vec_stouffer = _reject_stouffer_gbhpc(log_p, cfg.r, weights, cfg.alpha)
+        vec_fisher = bhpc_rows(log_p, cfg.r, CombinerSpec("fisher")) <= log_alpha
+        vec_simes = bhpc_rows(log_p, cfg.r, CombinerSpec("simes")) <= log_alpha
+        vec_stouffer = weighted_gbhpc_rows(log_p, cfg.r, weights) <= log_alpha
 
         fisher, simes = CombinerSpec("fisher"), CombinerSpec("simes")
 
@@ -156,6 +163,11 @@ class TestRunPowerMap:
         a = run_power_map(cfg, [0.1, 0.2], [0.05, 0.1])
         b = run_power_map(cfg, [0.1, 0.2], [0.05, 0.1])
         assert a == b
+
+    def test_numpy_integer_r(self):
+        # SimConfig takes any integer; the PC rules are handed a plain int.
+        a = run_power_map(make_cfg(r=np.int64(3)), [0.1], [0.05])
+        assert a == run_power_map(make_cfg(r=3), [0.1], [0.05])
 
     def test_rows_cover_grid_and_methods(self):
         cfg = make_cfg(reps=1000)
