@@ -43,7 +43,7 @@ from .numerics import (
     std_normal_quantile,
     std_normal_sf,
 )
-from .oracle import NullConfig, ValidityEstimate, mc_validity, tpm_mc_cdf
+from .oracle import BatchedRule, NullConfig, ValidityEstimate, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
     GroupPartition,
     PcCurve,
@@ -63,6 +63,7 @@ from .simulation import PowerGrid, SimConfig, draw_study_pvalues, run_power_map
 __version__ = "0.1.0"
 
 __all__ = [
+    "BatchedRule",
     "CombinerSpec",
     "CountTable2x2",
     "FisherExactResult",

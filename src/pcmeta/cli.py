@@ -19,12 +19,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import io as pio
-from .combiners import CombinerSpec, combine, fisher_exact_2x2
+from .combiners import CombinerSpec, combine, fisher_exact_2x2, rows_for
 from .counterexample import TEST_NAMES, power_grid_2d
 from .errors import InputValidationError, NonConvergenceError, PcmetaError
-from .oracle import NullConfig, mc_validity, tpm_mc_cdf
+from .oracle import BatchedRule, NullConfig, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
     bhpc,
+    bhpc_rows,
     fixed_subset_combiner,
     pc_curve,
     select_construction,
@@ -57,6 +58,14 @@ def _build_spec(method: str, gamma: float | None, weights=None) -> CombinerSpec:
     return CombinerSpec(method)
 
 
+def _check_method_options(args) -> None:
+    """Refuse options that the chosen --method would silently ignore."""
+    if args.gamma is not None and args.method != "tpm":
+        raise InputValidationError("--gamma applies only to --method tpm")
+    if getattr(args, "weights_from", None) is not None and args.method != "stouffer":
+        raise InputValidationError("--weights-from applies only to --method stouffer")
+
+
 def _load_input(path: str):
     records = pio.read_study_csv(path)
     return records, pio.records_to_pvalues(records)
@@ -69,6 +78,7 @@ def _weights_for(args, records) -> tuple[float, ...]:
 
 
 def cmd_combine(args) -> int:
+    _check_method_options(args)
     records, ps = _load_input(args.input)
     weights = _weights_for(args, records) if args.method == "stouffer" else None
     spec = _build_spec(args.method, args.gamma, weights)
@@ -86,6 +96,7 @@ def cmd_combine(args) -> int:
 
 
 def cmd_pc(args) -> int:
+    _check_method_options(args)
     records, ps = _load_input(args.input)
     n = len(ps)
     kwargs = {}
@@ -245,6 +256,7 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 
 def cmd_oracle_validity(args) -> int:
+    _check_method_options(args)
     z_means = _parse_float_list(args.z_means, "--z-means") if args.z_means else None
     k = args.k if z_means is None else len(z_means)
     if k is None:
@@ -252,12 +264,13 @@ def cmd_oracle_validity(args) -> int:
     config = NullConfig(n_studies=k, z_means=tuple(z_means) if z_means else None)
     spec = _build_spec(args.method, args.gamma, (1.0,) * k)
     if args.pc_r is None:
-        rule = lambda ps: combine(spec, ps)
+        rule = BatchedRule(lambda ps: combine(spec, ps), rows_for(spec))
         label = args.method
     else:
         if args.method == "stouffer":
             raise InputValidationError("--pc-r requires a symmetric --method")
-        rule = lambda ps: bhpc(ps, args.pc_r, spec)
+        rule = BatchedRule(lambda ps: bhpc(ps, args.pc_r, spec),
+                           lambda log_p: bhpc_rows(log_p, args.pc_r, spec))
         label = f"bhpc:{args.method}@r={args.pc_r}"
     alphas = _parse_float_list(args.alphas, "--alphas")
     estimates = mc_validity(rule, config, alphas, args.reps, args.seed)

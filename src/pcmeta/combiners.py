@@ -6,12 +6,13 @@ them are valid, monotone and sensitive for the global null under
 independent (or positively dependent, where applicable) inputs, and all
 arithmetic is done on log p-values.
 
-Fisher, Simes, Bonferroni and the weighted z-rule also have row-wise
-array forms (``log_*_rows``) that take a (rows, k) array of log
-p-values and agree with the scalar rules to roundoff, not bit for bit;
-subset enumeration uses them to screen subsets before rescoring the
-best with the scalar rules, which stay exact (``combine_fisher`` equals
-``chisq_sf`` bit for bit).  ``ROW_KERNELS`` maps rule names to row forms.
+Every rule also has a row-wise array form (``log_*_rows``) that takes a
+(rows, k) array of log p-values and agrees with the scalar rule to
+roundoff, not bit for bit; ``rows_for(spec)`` returns the one for a
+``CombinerSpec``.  Subset enumeration and the Monte Carlo validity
+oracle use them to screen before rescoring the rows that matter with
+the scalar rules, which stay exact (``combine_fisher`` equals
+``chisq_sf`` bit for bit).
 
 ``fisher_exact_2x2`` produces the per-subgroup two-sided p-values used
 by the replicability pipeline when the input data are event counts.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -30,6 +31,7 @@ from .errors import InputValidationError, NumericDomainError
 from .numerics import (
     ProbValue,
     _log_poisson_head,
+    _log_poisson_head_rows,
     hypergeom_log_pmf,
     log_comb,
     log_sum_exp,
@@ -42,13 +44,14 @@ __all__ = [
     "CountTable2x2",
     "FisherExactResult",
     "SYMMETRIC_METHODS",
-    "ROW_KERNELS",
     "combine",
     "log_fisher",
     "log_fisher_rows",
     "log_simes_rows",
     "log_bonferroni_rows",
     "log_stouffer_rows",
+    "log_tpm_rows",
+    "rows_for",
     "combine_fisher",
     "combine_simes",
     "combine_bonferroni",
@@ -136,23 +139,11 @@ def log_fisher(log_ps: Sequence[float]) -> float:
 def log_fisher_rows(log_p: np.ndarray) -> np.ndarray:
     """``log_fisher`` of each row of a (rows, k) array of log p-values.
 
-    The log-sum-exp over the k Poisson terms is plain numpy, in the same
-    arithmetic as ``scipy.special.logsumexp`` (log1p of the terms below
-    the largest) without its temporaries.  Rows with a p of 0 give -inf
-    and rows of all ones give 0, as in ``log_fisher``.
+    Rows with a p of 0 give -inf and rows of all ones give 0, as in
+    ``log_fisher``.
     """
-    js = np.arange(log_p.shape[1])
     half = -log_p.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = js * np.log(half)[:, None] - special.gammaln(js + 1)
-        top = terms.max(axis=1, keepdims=True)
-        at_top = terms == top
-        count = at_top.sum(axis=1, keepdims=True)
-        below = np.exp(np.where(at_top, _NEG_INF, terms) - top)
-        rest = below.sum(axis=1, keepdims=True)
-        series = np.log1p(rest / count) + np.log(count) + top
-        out = np.minimum(0.0, -half + series[:, 0])
-    out[half == 0.0] = 0.0
+    out = np.minimum(0.0, -half + _log_poisson_head_rows(half, log_p.shape[1]))
     out[half == np.inf] = _NEG_INF
     return out
 
@@ -176,12 +167,69 @@ def log_stouffer_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return special.log_ndtr(-stat)
 
 
-# Row forms of the symmetric rules, by ``CombinerSpec.method``; TPM has none.
-ROW_KERNELS = {
-    "fisher": log_fisher_rows,
-    "simes": log_simes_rows,
-    "bonferroni": log_bonferroni_rows,
-}
+def log_tpm_rows(log_p: np.ndarray, gamma: float) -> np.ndarray:
+    """Row-wise ``combine_tpm`` of a (rows, L) array of log p-values.
+
+    The same closed form, one k = 1..L term at a time over all rows:
+    log w is the row sum of the log p-values at or below log gamma.
+    Rows with no p <= gamma give 0 and rows with a p of 0 give -inf.
+    """
+    rows, L = log_p.shape
+    log_gamma = math.log(gamma)
+    below = log_p <= log_gamma
+    log_w = np.where(below, log_p, 0.0).sum(axis=1)
+    log_1mg = math.log1p(-gamma) if gamma < 1.0 else _NEG_INF
+    terms = np.empty((rows, L))
+    for k in range(1, L + 1):
+        if k < L and log_1mg == _NEG_INF:
+            terms[:, k - 1] = _NEG_INF
+            continue
+        base = log_comb(L, k) + (0.0 if k == L else (L - k) * log_1mg)
+        inside = log_w <= k * log_gamma
+        x = np.where(inside, k * log_gamma - log_w, 0.0)
+        head = _log_poisson_head_rows(x, k)
+        terms[:, k - 1] = base + np.where(inside, log_w + head, k * log_gamma)
+    top = terms.max(axis=1)
+    out = np.minimum(0.0, top + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+    out[~below.any(axis=1)] = 0.0
+    out[log_w == _NEG_INF] = _NEG_INF
+    return out
+
+
+def _log_stouffer_p_rows(log_p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise ``combine_stouffer_weighted`` from log p-values.
+
+    z_i follows ``std_normal_quantile``'s branch: ``ndtri`` of the linear
+    p at or above 1e-15, ``ndtri_exp`` below.  Rows holding a p of 0 or
+    1, or a p within 1e-6 of 1 (where exp of a tiny log p rounds to 1 but
+    ``ProbValue`` nudges the linear value below it), give NaN: the scalar
+    rule must score those, and raises at 0 and 1.
+    """
+    if len(weights) != log_p.shape[1]:
+        raise InputValidationError(
+            f"{len(weights)} weights for {log_p.shape[1]} p-values"
+        )
+    linear = np.exp(log_p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -np.where(linear < 1e-15, special.ndtri_exp(log_p), special.ndtri(linear))
+        out = log_stouffer_rows(z, np.broadcast_to(weights, z.shape))
+    out[((log_p == _NEG_INF) | (linear > 1.0 - 1e-6)).any(axis=1)] = math.nan
+    return out
+
+
+def rows_for(spec: CombinerSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The row form of ``spec``'s rule: a (rows, k) array of log p-values
+    to the approximate log combined p of each row."""
+    if spec.method == "tpm":
+        return lambda log_p: log_tpm_rows(log_p, spec.tpm_gamma)
+    if spec.method == "stouffer_weighted":
+        weights = np.array(spec.weights)
+        return lambda log_p: _log_stouffer_p_rows(log_p, weights)
+    return {
+        "fisher": log_fisher_rows,
+        "simes": log_simes_rows,
+        "bonferroni": log_bonferroni_rows,
+    }[spec.method]
 
 
 def combine_fisher(ps: Sequence[ProbValue]) -> ProbValue:

@@ -11,7 +11,8 @@ The normal CDF/quantile pair is backed by scipy's ``log_ndtr`` /
 beyond).  The chi-square upper tail for even degrees of freedom and the
 hypergeometric log-PMF are computed here directly: both reduce to finite
 sums of positive terms, which log-sum-exp evaluates without cancellation;
-the chi-square tail's Poisson series also serves the Fisher and TPM rules.
+the chi-square tail's Poisson series also serves the Fisher and TPM rules,
+and its row form their row forms.
 """
 
 from __future__ import annotations
@@ -193,6 +194,28 @@ def _log_poisson_head(x: float, k: int) -> float:
         return 0.0
     log_x = math.log(x)
     return log_sum_exp(j * log_x - math.lgamma(j + 1) for j in range(k))
+
+
+def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """``_log_poisson_head(x, k)`` for each x >= 0 of a 1-D array, the row
+    form under ``log_fisher_rows`` and ``log_tpm_rows``.
+
+    The log-sum-exp over the k terms is plain numpy, in the same
+    arithmetic as ``scipy.special.logsumexp`` (log1p of the terms below
+    the largest) without its temporaries.  It is 0 at x = 0 and NaN at
+    x = inf.
+    """
+    js = np.arange(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = js * np.log(x)[:, None] - special.gammaln(js + 1)
+        top = terms.max(axis=1, keepdims=True)
+        at_top = terms == top
+        count = at_top.sum(axis=1, keepdims=True)
+        below = np.exp(np.where(at_top, _NEG_INF, terms) - top)
+        rest = below.sum(axis=1, keepdims=True)
+        series = np.log1p(rest / count) + np.log(count) + top
+    series[x == 0.0] = 0.0
+    return series[:, 0]
 
 
 def two_sided_log_p(z):

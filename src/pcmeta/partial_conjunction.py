@@ -10,10 +10,10 @@ constructions are implemented:
   valid combiners g_u over all subsets u of size n-r+1.  Non-symmetric
   g_u (e.g. a weighted z-rule with weights bound to study indices) are
   expressed through a factory that receives the original indices.  The
-  library factories ``fixed_subset_combiner`` (Fisher, Simes, Bonferroni)
-  and ``weighted_subset_combiner`` also carry an array form, which
-  screens subsets in chunks before the scalar rule rescores the best, so
-  the result stays exact; other factories, and TPM, run the scalar loop.
+  library factories ``fixed_subset_combiner`` and
+  ``weighted_subset_combiner`` also carry an array form, which screens
+  subsets in chunks before the scalar rule rescores the best, so the
+  result stays exact; other factories run the scalar loop.
 
 Monte Carlo studies use the row forms ``bhpc_rows`` and
 ``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
@@ -42,13 +42,13 @@ import numpy as np
 from scipy import special
 
 from .combiners import (
-    ROW_KERNELS,
     CombinerSpec,
     _check_weights,
     combine,
     combine_stouffer_weighted,
     log_fisher,
     log_stouffer_rows,
+    rows_for,
 )
 from .errors import (
     EnumerationBudgetError,
@@ -201,9 +201,9 @@ def bhpc(
 def bhpc_rows(log_p: np.ndarray, r: int, spec: CombinerSpec) -> np.ndarray:
     """``bhpc`` of each row of a (reps, n) array of log p-values, to roundoff."""
     _check_r(log_p.shape[1], r)
-    if spec.method not in ROW_KERNELS:  # TPM and the weighted rule have none
+    if not spec.is_symmetric:
         raise InputValidationError(f"{spec.method!r} has no drop-smallest row form")
-    return ROW_KERNELS[spec.method](np.sort(log_p, axis=1)[:, r - 1 :])
+    return rows_for(spec)(np.sort(log_p, axis=1)[:, r - 1 :])
 
 
 class _ArrayFactory:
@@ -278,8 +278,8 @@ def gbhpc_enumerate(
 
     Subsets are visited in ``itertools.combinations`` order and the
     first subset attaining the maximum (strict ``>``) gives the result.
-    With a factory from ``fixed_subset_combiner`` (Fisher, Simes,
-    Bonferroni) or ``weighted_subset_combiner``, an array kernel first
+    With a factory from ``fixed_subset_combiner`` (any symmetric rule,
+    TPM included) or ``weighted_subset_combiner``, an array kernel first
     scores subsets in chunks of ``_CHUNK_ROWS`` to approximate log
     values, and only the subsets within tol = 1e-9 * (1 + |M|) of the
     approximate maximum M are scored by the scalar rule, in enumeration
@@ -290,7 +290,7 @@ def gbhpc_enumerate(
     bit for bit.  A kernel value is -inf only where the scalar value is
     -inf too (a subset holding a p of 0; for the weighted rule, only
     past |z| ~ 1e154, i.e. log p below about -5e307), so when M = -inf
-    every subset ties and the first alone is scored.  TPM,
+    every subset ties and the first alone is scored.
     ``structured_subset_combiner`` and plain callables, and a weighted
     rule with a p of 0 or 1 (which then raises as the scalar rule does),
     take the scalar loop over every subset.
@@ -312,21 +312,16 @@ def gbhpc_enumerate(
 
 
 def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
-    """Factory applying one symmetric rule to every subset.
-
-    Fisher, Simes and Bonferroni carry an array form for
-    ``gbhpc_enumerate``; TPM has none and is enumerated by the scalar
-    loop.
+    """Factory applying one symmetric rule to every subset, with the
+    rule's row form (``rows_for``) as the array form for
+    ``gbhpc_enumerate``.
     """
     if not spec.is_symmetric:
         raise InputValidationError("fixed_subset_combiner needs a symmetric rule")
+    rows = rows_for(spec)
 
     def factory(u: tuple[int, ...]) -> SubsetCombiner:
         return lambda p_u: combine(spec, p_u)
-
-    rows = ROW_KERNELS.get(spec.method)
-    if rows is None:
-        return factory
 
     def bind(ps: Sequence[ProbValue]) -> RowKernel:
         log_p = np.array([p.log_value for p in ps])

@@ -104,6 +104,17 @@ class TestCombineCommand:
                               "--gamma", "1.0", "--json")
         assert json.loads(out_f)["p"] == json.loads(out_t)["p"]
 
+    @pytest.mark.parametrize("extra", [["--gamma", "0.3"],
+                                       ["--method", "simes", "--gamma", "0.3"],
+                                       ["--weights-from", "n_sample"],
+                                       ["--method", "tpm", "--gamma", "0.3",
+                                        "--weights-from", "n_sample"]])
+    def test_ignored_option_exits_2(self, pvalue_csv, capsys, extra):
+        # --gamma belongs to --method tpm and --weights-from to stouffer.
+        code, out, err = run_cli(capsys, "combine", pvalue_csv, "--json", *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+
     def test_counts_input_goes_through_exact_test(self, counts_csv, capsys):
         code, out, _ = run_cli(capsys, "combine", counts_csv, "--json")
         assert code == 0
@@ -161,6 +172,17 @@ class TestPcCommand:
             assert math.isclose(
                 math.exp(float(row["log_p"])), float(row["p"]), rel_tol=1e-9
             )
+
+    @pytest.mark.parametrize("extra", [["--gamma", "0.3"],
+                                       ["--gamma", "0.3", "--enumerate"],
+                                       ["--method", "stouffer", "--gamma", "0.3"],
+                                       ["--weights-from", "n_sample"],
+                                       ["--method", "tpm", "--gamma", "0.3",
+                                        "--weights-from", "n_sample"]])
+    def test_ignored_option_exits_2(self, pvalue_csv, capsys, extra):
+        code, out, err = run_cli(capsys, "pc", pvalue_csv, "--r", "3", "--json", *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
 
     def test_enumerate_matches_bhpc(self, pvalue_csv, capsys):
         _, out_a, _ = run_cli(capsys, "pc", pvalue_csv, "--method", "simes",
@@ -380,6 +402,23 @@ class TestOracleCommands:
                                "--reps", "20000", "--seed", "8", "--json")
         assert code == 0
         assert all(e["valid"] for e in json.loads(out)["estimates"])
+
+    @pytest.mark.parametrize("extra", [["--k", "3"], ["--k", "3", "--method", "stouffer"],
+                                       ["--pc-r", "2", "--z-means", "3,0,0"]])
+    def test_validity_gamma_without_tpm_exits_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "oracle", "validity", "--gamma", "0.3",
+                                 "--reps", "10000", "--json", *extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+
+    def test_validity_tpm_pc_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "validity", "--method", "tpm",
+                               "--gamma", "0.3", "--pc-r", "3", "--z-means", "3,2,0,0,0",
+                               "--reps", "20000", "--seed", "8", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rule"] == "bhpc:tpm@r=3"
+        assert all(e["valid"] for e in doc["estimates"])
 
     def test_tpm_cdf(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "tpm-cdf", "--l", "3", "--gamma",

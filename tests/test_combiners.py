@@ -23,6 +23,8 @@ from pcmeta.combiners import (
     log_fisher_rows,
     log_simes_rows,
     log_stouffer_rows,
+    log_tpm_rows,
+    rows_for,
 )
 from pcmeta.errors import InputValidationError, NumericDomainError
 from pcmeta.numerics import ProbValue, chisq_sf, std_normal_quantile
@@ -306,6 +308,105 @@ class TestSharedInvariants:
             combine_stouffer_weighted(a, w).log_value
             < combine_stouffer_weighted(b, w).log_value
         )
+
+
+def _log_rows(*rows):
+    """A (rows, k) array of log p-values, with log 0 = -inf."""
+    vals = np.array(rows, dtype=float)
+    out = np.full(vals.shape, -np.inf)
+    return np.log(vals, where=vals > 0, out=out)
+
+
+def _assert_log_close(got, want):
+    # 1e-12 absolute on log p is 1e-12 relative on p: near p = 1 the two
+    # sides round log p = -half + series differently.
+    assert got == want or math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (got, want)
+
+
+class TestTpmRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(lambda k: st.lists(
+            st.lists(
+                st.sampled_from((0.0, 1.0, 1e-300, 0.2, 0.05))
+                | st.floats(min_value=1e-300, max_value=1.0),
+                min_size=k, max_size=k,
+            ),
+            min_size=1, max_size=4,
+        )),
+        st.sampled_from((0.05, 0.2, 0.5, 1.0)) | st.floats(min_value=1e-6, max_value=1.0),
+    )
+    def test_equals_combine_tpm(self, rows, gamma):
+        got = log_tpm_rows(_log_rows(*rows), gamma)
+        for row, value in zip(rows, got.tolist()):
+            _assert_log_close(value, combine_tpm(pv(*row), gamma).log_value)
+
+    def test_no_p_below_gamma_gives_one(self):
+        got = log_tpm_rows(_log_rows((0.3, 0.8, 0.6), (1.0, 0.21, 0.5)), 0.2)
+        assert got.tolist() == [0.0, 0.0]
+
+    def test_p_of_zero_gives_zero(self):
+        got = log_tpm_rows(_log_rows((0.0, 0.3), (0.5, 0.0), (0.0, 0.0)), 0.2)
+        assert got.tolist() == [-math.inf] * 3
+
+    def test_p_exactly_at_gamma(self):
+        # p = gamma is truncated (<=), as in the scalar rule.
+        for row in [(0.05, 0.5), (0.05, 0.05, 0.9), (0.05,)]:
+            (got,) = log_tpm_rows(_log_rows(row), 0.05).tolist()
+            want = combine_tpm(pv(*row), 0.05).log_value
+            assert got < 0.0
+            _assert_log_close(got, want)
+
+    def test_gamma_one_equals_fisher_rows(self):
+        rng = np.random.default_rng(83)
+        for k in range(1, 13):
+            vals = rng.random((50, k)) ** rng.choice([1, 30, 300], size=(50, 1))
+            log_p = np.log(np.maximum(vals, 1e-300))
+            got = log_tpm_rows(log_p, 1.0)
+            want = log_fisher_rows(log_p)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_tiny_and_repeated_p_values(self):
+        rows = [(1e-300,) * 4, (1e-300, 0.5, 1e-300, 0.9),
+                (0.05,) * 7, (0.01, 0.01, 0.3, 0.3, 0.01)]
+        for gamma in (0.05, 0.2, 1.0):
+            for row in rows:
+                (got,) = log_tpm_rows(_log_rows(row), gamma).tolist()
+                _assert_log_close(got, combine_tpm(pv(*row), gamma).log_value)
+
+
+class TestRowsFor:
+    SPECS = [
+        CombinerSpec("fisher"),
+        CombinerSpec("simes"),
+        CombinerSpec("bonferroni"),
+        CombinerSpec("tpm", tpm_gamma=0.2),
+        CombinerSpec("stouffer_weighted", weights=(1.0, 2.0, 0.5, 3.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.method)
+    def test_matches_scalar_rule(self, spec):
+        rng = np.random.default_rng(89)
+        vals = rng.random((200, 5)) ** rng.choice([1, 30, 300], size=(200, 1))
+        vals = np.maximum(vals, 1e-300)  # the weighted rule is undefined at p = 0
+        got = rows_for(spec)(np.log(vals))
+        for row, value in zip(vals, got.tolist()):
+            _assert_log_close(value, combine(spec, pv(*row)).log_value)
+
+    def test_stouffer_nan_at_zero_and_one(self):
+        rows = rows_for(CombinerSpec("stouffer_weighted", weights=(1.0, 2.0, 3.0)))
+        got = rows(_log_rows((0.1, 0.0, 0.3), (0.1, 1.0, 0.3),
+                             (1.0 - 1e-7, 0.2, 0.3), (0.1, 0.2, 0.3)))
+        assert np.isnan(got[:3]).all()
+        _assert_log_close(
+            float(got[3]),
+            combine_stouffer_weighted(pv(0.1, 0.2, 0.3), [1.0, 2.0, 3.0]).log_value,
+        )
+
+    def test_stouffer_weight_count_checked(self):
+        rows = rows_for(CombinerSpec("stouffer_weighted", weights=(1.0, 2.0)))
+        with pytest.raises(InputValidationError, match="2 weights for 3 p-values"):
+            rows(_log_rows((0.1, 0.2, 0.3)))
 
 
 class TestFisherExact:

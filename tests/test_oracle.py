@@ -12,13 +12,21 @@ import math
 import numpy as np
 import pytest
 
-from pcmeta.combiners import CombinerSpec, combine, combine_stouffer_weighted
+from pcmeta import oracle
+from pcmeta.combiners import CombinerSpec, combine, combine_stouffer_weighted, rows_for
 from pcmeta.errors import InputValidationError
 from pcmeta.numerics import ProbValue
-from pcmeta.oracle import NullConfig, ValidityEstimate, mc_validity, tpm_mc_cdf
+from pcmeta.oracle import (
+    BatchedRule,
+    NullConfig,
+    ValidityEstimate,
+    mc_validity,
+    tpm_mc_cdf,
+)
 from pcmeta.partial_conjunction import (
     GroupPartition,
     bhpc,
+    bhpc_rows,
     gbhpc_enumerate,
     structured_gbhpc,
 )
@@ -53,6 +61,87 @@ class TestMcValidity:
             mc_validity(rule, NullConfig(1), [1.5], reps=10**4, seed=0)
         with pytest.raises(InputValidationError):
             NullConfig(3, z_means=(1.0,))
+
+
+# The rules of ``oracle validity --method M`` at k studies.
+def _cli_spec(method, k):
+    if method == "tpm":
+        return CombinerSpec("tpm", tpm_gamma=0.2)
+    if method == "stouffer":
+        return CombinerSpec("stouffer_weighted", weights=(1.0,) * k)
+    return CombinerSpec(method)
+
+
+def _combine_rule(spec):
+    return BatchedRule(lambda ps: combine(spec, ps), rows_for(spec))
+
+
+def _bhpc_rule(spec, r):
+    return BatchedRule(lambda ps: bhpc(ps, r, spec),
+                       lambda log_p: bhpc_rows(log_p, r, spec))
+
+
+class TestBatchedRule:
+    ALPHAS = [0.01, 0.05, 0.2]
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    @pytest.mark.parametrize("method", ["fisher", "simes", "bonferroni", "tpm", "stouffer"])
+    def test_equals_scalar_loop(self, method, k):
+        rule = _combine_rule(_cli_spec(method, k))
+        config = NullConfig(k)
+        batched = mc_validity(rule, config, self.ALPHAS, 10**4, seed=k)
+        assert batched == mc_validity(rule.scalar, config, self.ALPHAS, 10**4, seed=k)
+
+    @pytest.mark.parametrize("method", ["fisher", "simes", "bonferroni", "tpm"])
+    @pytest.mark.parametrize("r, z_means", [(2, (3.0,) + (0.0,) * 7), (3, (3.0, 2.0, 0, 0, 0))])
+    def test_pc_rule_equals_scalar_loop(self, method, r, z_means):
+        rule = _bhpc_rule(_cli_spec(method, len(z_means)), r)
+        config = NullConfig(len(z_means), z_means=z_means)
+        batched = mc_validity(rule, config, self.ALPHAS, 10**4, seed=r)
+        assert batched == mc_validity(rule.scalar, config, self.ALPHAS, 10**4, seed=r)
+
+    @pytest.mark.parametrize("method", ["fisher", "tpm", "stouffer"])
+    def test_rows_on_the_threshold(self, method):
+        # Each alpha is exp of some replicate's exact value, so those rows
+        # sit on the threshold, and the row form is off by up to
+        # 2e-10 (1 + |v|), a fifth of the tolerance.  Counts stay exact.
+        spec = _cli_spec(method, 4)
+        config = NullConfig(4)
+        log_p = oracle._draw_log_p(config, np.random.default_rng([17]), 10**4)
+        exact = [combine(spec, [ProbValue.from_log(v) for v in row]).log_value
+                 for row in log_p[:200].tolist()]
+        alphas = sorted({math.exp(v) for v in exact if -9.0 < v < -0.1})[::9]
+        assert len(alphas) >= 5
+        rng = np.random.default_rng(19)
+        kernel = rows_for(spec)
+
+        def noisy(rows):
+            v = kernel(rows)
+            return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1.0 + np.abs(v))
+
+        rule = BatchedRule(lambda ps: combine(spec, ps), noisy)
+        batched = mc_validity(rule, config, alphas, 10**4, seed=17)
+        scalar = mc_validity(rule.scalar, config, alphas, 10**4, seed=17)
+        assert batched == scalar
+
+    def test_nan_rows_are_rescored(self):
+        # A row form that gives up on every row leaves only the scalar rule.
+        calls = []
+
+        def scalar(ps):
+            calls.append(1)
+            return combine(CombinerSpec("fisher"), ps)
+
+        rule = BatchedRule(scalar, lambda rows: np.full(len(rows), np.nan))
+        batched = mc_validity(rule, NullConfig(3), self.ALPHAS, 10**4, seed=23)
+        assert len(calls) == 10**4
+        assert batched == mc_validity(scalar, NullConfig(3), self.ALPHAS, 10**4, seed=23)
+
+    def test_bad_r_raises_as_in_scalar_loop(self):
+        for rule in (_bhpc_rule(CombinerSpec("fisher"), 9),
+                     _bhpc_rule(CombinerSpec("fisher"), 9).scalar):
+            with pytest.raises(InputValidationError, match="r=9"):
+                mc_validity(rule, NullConfig(4), [0.05], 10**4, seed=0)
 
 
 class TestTpmMcCdf:

@@ -55,6 +55,7 @@ def log_pv(*values):
 FISHER = CombinerSpec("fisher")
 SIMES = CombinerSpec("simes")
 BONF = CombinerSpec("bonferroni")
+TPM = CombinerSpec("tpm", tpm_gamma=0.2)
 
 
 class TestGroupPartition:
@@ -211,14 +212,17 @@ def array_factories(weights):
         "fisher": fixed_subset_combiner(FISHER),
         "simes": fixed_subset_combiner(SIMES),
         "bonferroni": fixed_subset_combiner(BONF),
+        "tpm": fixed_subset_combiner(TPM),
         "stouffer": weighted_subset_combiner(weights),
     }
 
 
-def assert_array_path_exact(ps, weights, rs=None):
+def assert_array_path_exact(ps, weights, rs=None, names=None):
     """gbhpc_enumerate equals the scalar loop bit for bit, or both raise
     NumericDomainError (the weighted rule at p in {0, 1})."""
     for name, factory in array_factories(weights).items():
+        if names is not None and name not in names:
+            continue
         for r in rs or range(1, len(ps) + 1):
             try:
                 want = scalar_max(ps, r, factory)
@@ -325,7 +329,12 @@ class TestArrayPath:
 
     def test_bundled_data_every_r(self, bundled_pvalue_records, bundled_pvalues):
         weights = stouffer_weights_from_records(bundled_pvalue_records)
-        assert_array_path_exact(bundled_pvalues, weights)
+        assert_array_path_exact(bundled_pvalues, weights,
+                                names=("fisher", "simes", "bonferroni", "stouffer"))
+        # The scalar TPM loop over all 2^18 - 1 subsets would take ~15 s;
+        # check the r whose subsets number at most C(18, 4).
+        assert_array_path_exact(bundled_pvalues, weights, names=("tpm",),
+                                rs=[1, 2, 3, 4, 5, 15, 16, 17, 18])
 
     def test_stouffer_raises_at_zero_and_one(self):
         factory = weighted_subset_combiner([1.0, 2.0, 3.0, 4.0])
@@ -406,7 +415,7 @@ class TestRowForms:
     def test_bhpc_rows_equal_bhpc(self, rows):
         ps = [pv(*row) for row in rows]
         log_p = np.array([[p.log_value for p in row] for row in ps])
-        for spec in (FISHER, SIMES, BONF):
+        for spec in (FISHER, SIMES, BONF, TPM):
             for r in range(1, log_p.shape[1] + 1):
                 assert_rows_close(
                     bhpc_rows(log_p, r, spec), [bhpc(row, r, spec) for row in ps]
@@ -438,10 +447,8 @@ class TestRowForms:
                 bhpc_rows(log_p, r, FISHER)
             with pytest.raises(InputValidationError):
                 weighted_gbhpc_rows(log_p, r, [1.0] * 4)
-        for spec in (CombinerSpec("tpm", tpm_gamma=0.2),
-                     CombinerSpec("stouffer_weighted", weights=(1.0,) * 4)):
-            with pytest.raises(InputValidationError):
-                bhpc_rows(log_p, 2, spec)
+        with pytest.raises(InputValidationError):
+            bhpc_rows(log_p, 2, CombinerSpec("stouffer_weighted", weights=(1.0,) * 4))
         for weights in ([1.0] * 3, [1.0] * 5, [1, 0, 1, 1], [1, 1, math.nan, 1]):
             with pytest.raises(InputValidationError):
                 weighted_gbhpc_rows(log_p, 2, weights)
