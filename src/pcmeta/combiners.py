@@ -120,8 +120,13 @@ def _require_nonempty(ps: Sequence[ProbValue]) -> None:
 
 def _check_weights(weights: Sequence[float]) -> None:
     """Raise unless the weights are non-empty, finite and positive."""
-    if not weights or not all(0.0 < w < math.inf for w in weights):
-        raise InputValidationError("weights must be finite and strictly positive")
+    if weights:
+        for w in weights:
+            if not 0.0 < w < math.inf:
+                break
+        else:
+            return
+    raise InputValidationError("weights must be finite and strictly positive")
 
 
 def log_fisher(log_ps: Sequence[float]) -> float:
@@ -130,7 +135,7 @@ def log_fisher(log_ps: Sequence[float]) -> float:
     Hot path for subset enumeration; ``combine_fisher`` is the
     ProbValue wrapper.
     """
-    if any(lp == _NEG_INF for lp in log_ps):
+    if _NEG_INF in log_ps:
         return _NEG_INF
     half = -math.fsum(log_ps)  # chi-square statistic / 2
     return min(0.0, -half + _log_poisson_head(half, len(log_ps)))
@@ -246,16 +251,16 @@ def combine_simes(ps: Sequence[ProbValue]) -> ProbValue:
     """Simes' method: min over i of k * p_(i) / i, capped at 1."""
     _require_nonempty(ps)
     k = len(ps)
-    logs = sorted(p.log_value for p in ps)
+    logs = sorted([p.log_value for p in ps])
     log_k = math.log(k)
-    best = min((log_k - math.log(i)) + lp for i, lp in enumerate(logs, start=1))
+    best = min([(log_k - math.log(i)) + lp for i, lp in enumerate(logs, start=1)])
     return ProbValue.from_log(min(0.0, best))
 
 
 def combine_bonferroni(ps: Sequence[ProbValue]) -> ProbValue:
     """Bonferroni: min(1, k * min p)."""
     _require_nonempty(ps)
-    best = math.log(len(ps)) + min(p.log_value for p in ps)
+    best = math.log(len(ps)) + min([p.log_value for p in ps])
     return ProbValue.from_log(min(0.0, best))
 
 
@@ -272,10 +277,12 @@ def combine_stouffer_weighted(
     if len(weights) != len(ps):
         raise InputValidationError(f"{len(weights)} weights for {len(ps)} p-values")
     _check_weights(weights)
-    if any(p.is_zero or p.is_one for p in ps):
-        raise NumericDomainError("stouffer combination undefined at p in {0, 1}")
-    num = math.fsum(w * -std_normal_quantile(p) for w, p in zip(weights, ps))
-    denom = math.sqrt(math.fsum(w * w for w in weights))
+    for p in ps:
+        log_p = p.log_value
+        if log_p == _NEG_INF or log_p == 0.0:
+            raise NumericDomainError("stouffer combination undefined at p in {0, 1}")
+    num = math.fsum([w * -std_normal_quantile(p) for w, p in zip(weights, ps)])
+    denom = math.sqrt(math.fsum([w * w for w in weights]))
     return std_normal_sf(num / denom)
 
 

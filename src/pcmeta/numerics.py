@@ -18,7 +18,6 @@ and its row form their row forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable
 
@@ -44,10 +43,12 @@ _LOG2 = math.log(2.0)
 # linear value of exactly 0 (and vice versa for 1).
 _TINY_LINEAR = 5e-324
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+# math.lgamma(j + 1) for j < len, the log factorials of _log_poisson_head;
+# grown on demand.
+_LOG_FACTORIALS: list[float] = []
 
 
 @total_ordering
-@dataclass(frozen=True)
 class ProbValue:
     """A probability carried in paired linear/log form.
 
@@ -60,11 +61,29 @@ class ProbValue:
     * ``linear == 0.0`` exactly when ``log_value == -inf``;
     * ``linear == 1.0`` exactly when ``log_value == 0.0``.
 
-    Ordering and equality compare ``log_value`` only.
+    Ordering and equality compare ``log_value`` only.  Instances are
+    immutable: assigning or deleting a field raises ``AttributeError``.
+    The class has ``__slots__`` and no ``__dict__``, because the Monte
+    Carlo oracle builds one per study per replicate.
     """
 
-    linear: float
-    log_value: float
+    __slots__ = ("linear", "log_value")
+    __match_args__ = ("linear", "log_value")
+
+    def __init__(self, linear: float, log_value: float) -> None:
+        _set_linear(self, linear)
+        _set_log_value(self, log_value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, since
+        # __setattr__ refuses the default slot-state restore.
+        return type(self), (self.linear, self.log_value)
 
     @staticmethod
     def from_linear(x: float) -> "ProbValue":
@@ -101,7 +120,9 @@ class ProbValue:
             return NotImplemented
         return self.log_value == other.log_value
 
-    def __lt__(self, other: "ProbValue") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, ProbValue):
+            return NotImplemented
         return self.log_value < other.log_value
 
     def __hash__(self) -> int:
@@ -109,6 +130,11 @@ class ProbValue:
 
     def __repr__(self) -> str:
         return f"ProbValue({self.linear:.6g}, log={self.log_value:.6g})"
+
+
+# The slot setters, which bypass ProbValue.__setattr__.
+_set_linear = ProbValue.linear.__set__
+_set_log_value = ProbValue.log_value.__set__
 
 
 def _canonical_pair(linear: float, log_p: float) -> tuple[float, float]:
@@ -137,7 +163,7 @@ def log_sum_exp(values: Iterable[float]) -> float:
     if not vals:
         return _NEG_INF
     m = max(vals)
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+    return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
 
 
 def std_normal_sf(x: float) -> ProbValue:
@@ -160,10 +186,11 @@ def std_normal_quantile(p: ProbValue) -> float:
     about -30.2 instead of failing.  The upper quantile Phi^{-1}(1 - p)
     is just the negation.
     """
-    if p.is_zero or p.is_one:
+    log_p = p.log_value
+    if log_p == _NEG_INF or log_p == 0.0:
         raise NumericDomainError("quantile undefined at p in {0, 1}")
     if p.linear < 1e-15:
-        return float(special.ndtri_exp(p.log_value))
+        return float(special.ndtri_exp(log_p))
     return float(special.ndtri(p.linear))
 
 
@@ -190,10 +217,16 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
 def _log_poisson_head(x: float, k: int) -> float:
     """log of sum_{j < k} x^j / j! for x >= 0 (0 at x = 0); the one
     Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
+    global _LOG_FACTORIALS
     if x == 0.0:
         return 0.0
+    table = _LOG_FACTORIALS
+    if len(table) < k:
+        # Rebound, never extended in place, so a caller that already
+        # holds the old table reads a whole one.
+        table = _LOG_FACTORIALS = [math.lgamma(j + 1) for j in range(2 * k)]
     log_x = math.log(x)
-    return log_sum_exp(j * log_x - math.lgamma(j + 1) for j in range(k))
+    return log_sum_exp([j * log_x - table[j] for j in range(k)])
 
 
 def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:

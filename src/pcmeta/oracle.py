@@ -8,10 +8,14 @@ against the empirical null CDF.  Normal-model draws share the
 two-sided log p-value map ``numerics.two_sided_log_p`` with the power
 simulation.
 
-``mc_validity`` calls a plain rule once per replicate.  A
-``BatchedRule`` also carries a row form, which scores the replicates in
-chunks; only rows it places near an alpha are scored by the scalar
-rule, so the estimates are the same as the per-replicate loop's.
+``mc_validity`` runs one loop over chunks of replicates: each pass
+draws a chunk of rows from the one seeded stream (the same numbers as
+a single draw of every row), clips it, scores it and adds its counts
+per alpha, so memory does not grow with the replicate count.  A plain
+rule is called once per row.  A ``BatchedRule`` also carries a row
+form, which scores the whole chunk; only rows it places near an alpha
+are scored by the scalar rule, so the estimates are the same as the
+plain rule's.
 """
 
 from __future__ import annotations
@@ -39,25 +43,32 @@ class NullConfig:
     """Null sampling model for per-study p-values.
 
     With ``z_means`` unset, p-values are i.i.d. uniform.  Otherwise
-    study i reports the two-sided p-value of Z ~ N(z_means[i], 1);
-    zero-mean entries are exact nulls and nonzero entries place the
-    configuration on the boundary of a partial-conjunction null.
+    study i reports the two-sided p-value of Z ~ N(z_means[i], 1), with
+    every mean finite; zero-mean entries are exact nulls and nonzero
+    entries place the configuration on the boundary of a
+    partial-conjunction null.
     """
 
     n_studies: int
     z_means: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_studies, (int, np.integer)):
+            raise InputValidationError(f"n_studies must be an integer, got {self.n_studies!r}")
         if self.n_studies < 1:
             raise InputValidationError("need at least one study")
-        if self.z_means is not None and len(self.z_means) != self.n_studies:
+        if self.z_means is None:
+            return
+        if len(self.z_means) != self.n_studies:
             raise InputValidationError("z_means must have one entry per study")
+        if not all(math.isfinite(z) for z in self.z_means):
+            raise InputValidationError(f"z_means must be finite, got {self.z_means!r}")
 
 
 Rule = Callable[[Sequence[ProbValue]], ProbValue]
 
-# Replicates per row-form chunk: scoring all of them at once would hold
-# every temporary of the row form for the whole (reps, n) draw.
+# Replicates drawn and scored per pass: a whole (reps, n) draw, and the
+# row form's temporaries over it, would grow with reps.
 _CHUNK_ROWS = 1024
 # Relative tolerance around each log alpha; the row forms agree with the
 # scalar rules to ~1e-13 relative, far inside it.
@@ -94,34 +105,6 @@ def _draw_log_p(config: NullConfig, rng: np.random.Generator, reps: int) -> np.n
     return two_sided_log_p(z)
 
 
-def _scalar_value(rule: Rule, row: np.ndarray) -> float:
-    return rule([ProbValue.from_log(min(0.0, v)) for v in row.tolist()]).log_value
-
-
-def _batched_values(
-    rule: BatchedRule, log_p: np.ndarray, log_alphas: list[float]
-) -> np.ndarray:
-    """Per-row log values, exact where they decide a count.
-
-    Each chunk of rows is scored by ``rule.rows``; a row whose value is
-    NaN or within tol = 1e-9 * (1 + |log alpha|) of any log alpha is
-    rescored by ``rule.scalar``.  Every other row's approximate value
-    lies on the same side of each log alpha as its exact value, so the
-    counts equal those of the per-replicate loop.
-    """
-    targets = np.array(log_alphas)
-    tol = _NEAR_RTOL * (1.0 + np.abs(targets))
-    values = np.empty(len(log_p))
-    for start in range(0, len(log_p), _CHUNK_ROWS):
-        chunk = np.minimum(0.0, log_p[start : start + _CHUNK_ROWS])
-        approx = rule.rows(chunk)
-        near = np.isnan(approx) | (np.abs(approx[:, None] - targets) <= tol).any(axis=1)
-        values[start : start + len(chunk)] = approx
-        for i in np.flatnonzero(near):
-            values[start + i] = _scalar_value(rule.scalar, chunk[i])
-    return values
-
-
 def mc_validity(
     rule: Rule | BatchedRule,
     null_config: NullConfig,
@@ -131,26 +114,42 @@ def mc_validity(
 ) -> list[ValidityEstimate]:
     """Empirical rejection rates of ``rule`` under the supplied null.
 
-    A plain rule is called once per replicate; a ``BatchedRule`` scores
-    the replicates in chunks with its row form and calls its scalar rule
-    only on rows near an alpha, with the same estimates.  Returns one
-    estimate per alpha, each carrying the 3-standard-error acceptance
-    bound and a validity flag.
+    The replicates are drawn, clipped to log p <= 0 and scored in chunks
+    of ``_CHUNK_ROWS`` rows.  A plain rule is called once per row.  A
+    ``BatchedRule`` scores each chunk with its row form; a row whose
+    value is NaN or within tol = 1e-9 * (1 + |log alpha|) of any log
+    alpha is rescored by its scalar rule.  Every other row's approximate
+    value lies on the same side of each log alpha as its exact value, so
+    the estimates equal the scalar rule's.  Returns one estimate per
+    alpha, each carrying the 3-standard-error acceptance bound and a
+    validity flag.
     """
     if reps < 10**4:
         raise InputValidationError(f"reps must be at least 1e4, got {reps}")
     if not alpha_list or any(not (0.0 < a < 1.0) for a in alpha_list):
         raise InputValidationError("alphas must lie in (0, 1)")
-    rng = np.random.default_rng([seed])
-    log_p = _draw_log_p(null_config, rng, reps)
+    # Looked up per call, so that a wrapper installed on the class is seen.
+    from_log = ProbValue.from_log
+    scalar, rows = (rule.scalar, rule.rows) if isinstance(rule, BatchedRule) else (rule, None)
     log_alphas = [math.log(alpha) for alpha in alpha_list]
-    if isinstance(rule, BatchedRule):
-        values = _batched_values(rule, log_p, log_alphas)
-    else:
-        values = np.array([_scalar_value(rule, row) for row in log_p])
+    targets = np.array(log_alphas)
+    tol = _NEAR_RTOL * (1.0 + np.abs(targets))
+    hits = np.zeros(len(targets), dtype=np.int64)
+    rng = np.random.default_rng([seed])
+    for start in range(0, reps, _CHUNK_ROWS):
+        chunk = np.minimum(0.0, _draw_log_p(null_config, rng, min(_CHUNK_ROWS, reps - start)))
+        if rows is None:
+            values, exact = np.empty(len(chunk)), np.arange(len(chunk))
+        else:
+            values = np.array(rows(chunk), dtype=float)
+            near = np.isnan(values) | (np.abs(values[:, None] - targets) <= tol).any(axis=1)
+            exact = np.flatnonzero(near)
+        for i, row in zip(exact.tolist(), chunk[exact].tolist()):
+            values[i] = scalar([from_log(v) for v in row]).log_value
+        hits += (values[:, None] <= targets).sum(axis=0)
     out = []
-    for alpha, log_alpha in zip(alpha_list, log_alphas):
-        rate = int(np.count_nonzero(values <= log_alpha)) / reps
+    for alpha, log_alpha, hit in zip(alpha_list, log_alphas, hits.tolist()):
+        rate = hit / reps
         se = math.sqrt(rate * (1.0 - rate) / reps)
         bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / reps)
         out.append(ValidityEstimate(alpha, rate, se, bound, rate <= bound))

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -172,7 +173,7 @@ def _check_budget(n: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> N
 
 def _largest_tail(ps: Sequence[ProbValue], r: int) -> list[ProbValue]:
     """The n-r+1 largest p-values (ties broken stably by study index)."""
-    return sorted(ps, key=lambda p: p.log_value)[r - 1 :]
+    return sorted(ps, key=attrgetter("log_value"))[r - 1 :]
 
 
 def bhpc(
@@ -435,7 +436,7 @@ def structured_gbhpc(
     best: dict[tuple[int, int], float] = {(0, 0): math.inf}
     left = n
     for block in groups.blocks:
-        desc = sorted((ps[i].log_value for i in block), reverse=True)
+        desc = sorted([ps[i].log_value for i in block], reverse=True)
         left -= len(block)
         tops: dict[int, float] = {}  # c -> log Fisher of the c largest
         step: dict[tuple[int, int], float] = {}

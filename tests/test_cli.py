@@ -411,6 +411,13 @@ class TestOracleCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "InputValidationError"
 
+    @pytest.mark.parametrize("z_means", ["nan,0", "inf,0", "0,-inf,1"])
+    def test_validity_nonfinite_z_means_exits_2(self, capsys, z_means):
+        code, out, err = run_cli(capsys, "oracle", "validity", f"--z-means={z_means}",
+                                 "--reps", "10000", "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+
     def test_validity_tpm_pc_rule(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "validity", "--method", "tpm",
                                "--gamma", "0.3", "--pc-r", "3", "--z-means", "3,2,0,0,0",

@@ -1,6 +1,8 @@
 """Kernel accuracy tests against independent high-precision oracles."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special as sps
 
+from pcmeta import numerics
 from pcmeta.errors import NumericDomainError
 from pcmeta.numerics import (
     ProbValue,
@@ -71,6 +74,75 @@ class TestProbValue:
             ProbValue.from_linear(-0.1)
         with pytest.raises(NumericDomainError):
             ProbValue.from_log(0.5)
+
+    def test_immutable_without_dict(self):
+        pv = ProbValue.from_log(-2.0)
+        for field in ("linear", "log_value"):
+            with pytest.raises(AttributeError):
+                setattr(pv, field, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(pv, field)
+        with pytest.raises(AttributeError):
+            pv.extra = 1.0
+        assert not hasattr(pv, "__dict__")
+        assert (pv.linear, pv.log_value) == (math.exp(-2.0), -2.0)
+
+    @pytest.mark.parametrize("log_p", [0.0, -1e-20, -2.0, -800.0, -math.inf])
+    def test_copy_and_pickle(self, log_p):
+        pv = ProbValue.from_log(log_p)
+        for twin in (copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))):
+            assert type(twin) is ProbValue and twin == pv
+            assert (twin.linear, twin.log_value) == (pv.linear, pv.log_value)
+
+    def test_hash_and_equality_follow_log_value(self):
+        a = ProbValue(0.5, math.log(0.5))
+        b = ProbValue(math.nextafter(0.5, 1.0), math.log(0.5))
+        assert a == b and hash(a) == hash(b) == hash(math.log(0.5))
+        assert len({a, b, ProbValue.from_log(-1.0)}) == 2
+        assert ProbValue.one() != 1.0 and not (ProbValue.zero() == 0.0)
+
+    def test_orderings(self):
+        a, b = ProbValue.from_log(-3.0), ProbValue.from_log(-1.0)
+        assert a < b and a <= b and b > a and b >= a
+        assert a <= ProbValue.from_log(-3.0) >= a
+        assert not (b < a or b <= a or a > b or a >= b)
+        assert max([a, b]) is b and min([b, a]) is a
+
+    @pytest.mark.parametrize("op", ["__lt__", "__le__", "__gt__", "__ge__"])
+    def test_ordering_against_other_types_is_type_error(self, op):
+        assert getattr(ProbValue.one(), op)(0.5) is NotImplemented
+        with pytest.raises(TypeError):
+            ProbValue.one() < 0.5
+        with pytest.raises(TypeError):
+            0.5 >= ProbValue.zero()
+
+    def test_repr(self):
+        assert repr(ProbValue.from_log(-1.0)) == "ProbValue(0.367879, log=-1)"
+        assert repr(ProbValue.zero()) == "ProbValue(0, log=-inf)"
+        assert repr(ProbValue(0.25, -1.5)) == "ProbValue(0.25, log=-1.5)"
+
+    def test_from_log_edges(self):
+        one = ProbValue.from_log(-0.0)
+        assert (one.linear, one.log_value) == (1.0, 0.0)
+        assert math.copysign(1.0, one.log_value) == 1.0
+        zero = ProbValue.from_log(-math.inf)
+        assert (zero.linear, zero.log_value) == (0.0, -math.inf)
+        assert zero.is_zero and one.is_one
+        tiny_log = ProbValue.from_log(-1e-300)
+        assert tiny_log.linear == math.nextafter(1.0, 0.0) and not tiny_log.is_one
+        for bad in (math.nan, 1e-300):
+            with pytest.raises(NumericDomainError):
+                ProbValue.from_log(bad)
+
+
+def test_log_poisson_head_table_matches_lgamma(monkeypatch):
+    # An empty table makes the calls below grow it several times.
+    monkeypatch.setattr(numerics, "_LOG_FACTORIALS", [])
+    for k in range(1, 301):
+        for x in (0.0, 1e-300, 0.3, 7.5, float(k), 250.0, 1e6):
+            reference = 0.0 if x == 0.0 else log_sum_exp(
+                j * math.log(x) - math.lgamma(j + 1) for j in range(k))
+            assert numerics._log_poisson_head(x, k) == reference
 
 
 class TestStdNormalSf:

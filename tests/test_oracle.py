@@ -62,6 +62,39 @@ class TestMcValidity:
         with pytest.raises(InputValidationError):
             NullConfig(3, z_means=(1.0,))
 
+    @pytest.mark.parametrize("n, z_means", [
+        (2, (math.nan, 0.0)), (2, (math.inf, 0.0)), (3, (0.0, 1.0, -math.inf)),
+        (2.0, None), (2.5, None), ("3", None),
+    ])
+    def test_null_config_rejects_nonfinite_means_and_non_integer_n(self, n, z_means):
+        with pytest.raises(InputValidationError):
+            NullConfig(n, z_means=z_means)
+
+    @pytest.mark.parametrize("z_means", [None, (3.0, 0.0, -1.5)])
+    @pytest.mark.parametrize("reps", [10**4, 10**4 + 7, 25_000])
+    def test_chunked_draw_equals_one_shot(self, z_means, reps):
+        # mc_validity draws _CHUNK_ROWS rows per pass from one generator;
+        # that must be the stream of one (reps, n) draw, last chunk short.
+        config = NullConfig(3, z_means=z_means)
+        one_shot = oracle._draw_log_p(config, np.random.default_rng([4]), reps)
+        rng = np.random.default_rng([4])
+        chunks = [oracle._draw_log_p(config, rng, min(oracle._CHUNK_ROWS, reps - start))
+                  for start in range(0, reps, oracle._CHUNK_ROWS)]
+        assert reps % oracle._CHUNK_ROWS != 0
+        assert np.array_equal(np.concatenate(chunks), one_shot)
+
+    @pytest.mark.parametrize("z_means", [None, (2.0, 0.0, 0.0)])
+    def test_counts_equal_one_shot_reference(self, z_means):
+        spec = CombinerSpec("simes")
+        config = NullConfig(3, z_means=z_means)
+        alphas, reps = [0.01, 0.05, 0.3], 10**4 + 7
+        log_p = np.minimum(0.0, oracle._draw_log_p(config, np.random.default_rng([6]), reps))
+        values = [combine(spec, [ProbValue.from_log(v) for v in row]).log_value
+                  for row in log_p.tolist()]
+        estimates = mc_validity(lambda ps: combine(spec, ps), config, alphas, reps, seed=6)
+        for alpha, est in zip(alphas, estimates):
+            assert est.rate == sum(v <= math.log(alpha) for v in values) / reps
+
 
 # The rules of ``oracle validity --method M`` at k studies.
 def _cli_spec(method, k):
