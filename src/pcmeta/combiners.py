@@ -8,11 +8,12 @@ arithmetic is done on log p-values.
 
 Every rule also has a row-wise array form (``log_*_rows``) that takes a
 (rows, k) array of log p-values and agrees with the scalar rule to
-roundoff, not bit for bit; ``rows_for(spec)`` returns the one for a
-``CombinerSpec``.  Subset enumeration and the Monte Carlo validity
-oracle use them to screen before rescoring the rows that matter with
-the scalar rules, which stay exact (``combine_fisher`` equals
-``chisq_sf`` bit for bit).
+roundoff, not bit for bit, or gives NaN where it cannot score a row;
+``rows_for(spec)`` returns the one for a ``CombinerSpec``.  Subset
+enumeration and the Monte Carlo validity oracle score with them, and
+both leave to the scalar rules, which stay exact (``combine_fisher``
+equals ``chisq_sf`` bit for bit), the rows that one rescoring rule,
+``_needs_rescore``, selects: NaN rows and rows near a decision value.
 
 ``fisher_exact_2x2`` produces the per-subgroup two-sided p-values used
 by the replicability pipeline when the input data are event counts.
@@ -65,6 +66,10 @@ METHODS = ("fisher", "simes", "bonferroni", "stouffer_weighted", "tpm")
 SYMMETRIC_METHODS = frozenset({"fisher", "simes", "bonferroni", "tpm"})
 
 _NEG_INF = float("-inf")
+# Rows per array pass in the exact screens: enough to amortise numpy
+# calls, few enough that temporaries stay a few hundred kB.
+_CHUNK_ROWS = 1024
+_RESCORE_RTOL = 1e-9  # the row forms agree to ~1e-13 relative, far inside
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def _require_nonempty(ps: Sequence[ProbValue]) -> None:
 
 def _check_weights(weights: Sequence[float]) -> None:
     """Raise unless the weights are non-empty, finite and positive."""
-    if weights:
+    if len(weights) > 0:
         for w in weights:
             if not 0.0 < w < math.inf:
                 break
@@ -235,6 +240,19 @@ def rows_for(spec: CombinerSpec) -> Callable[[np.ndarray], np.ndarray]:
         "simes": log_simes_rows,
         "bonferroni": log_bonferroni_rows,
     }[spec.method]
+
+
+def _needs_rescore(values: np.ndarray, targets: Sequence[float]) -> np.ndarray:
+    """Which row-form values the scalar rule must settle: NaN ones and
+    those within tol = 1e-9 * (1 + |t|) of any target t.  For every
+    other value the scalar value lies on the same side of each target.
+    """
+    tol = _RESCORE_RTOL * (1.0 + np.abs(targets))
+    out = np.isnan(values)
+    for start in range(0, len(values), _CHUNK_ROWS):
+        part = values[start : start + _CHUNK_ROWS, None]
+        out[start : start + _CHUNK_ROWS] |= (np.abs(part - targets) <= tol).any(axis=1)
+    return out
 
 
 def combine_fisher(ps: Sequence[ProbValue]) -> ProbValue:

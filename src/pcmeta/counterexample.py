@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import InputValidationError
+from .errors import InputValidationError, _check_kind
 
 __all__ = [
     "Rect",
@@ -246,8 +247,8 @@ def power_grid_2d(
     """
     if test not in TEST_NAMES:
         raise InputValidationError(f"unknown test {test!r}; pick one of {TEST_NAMES}")
-    if reps < 10**4:
-        raise InputValidationError(f"reps must be at least 1e4, got {reps}")
+    _check_kind("reps", reps, Integral, low=10**4)
+    _check_kind("seed", seed, Integral, low=0)
     if len(mu_grid) == 0 or not all(math.isfinite(mu) for mu in mu_grid):
         raise InputValidationError("mu_grid must hold at least one finite mean")
     region = _REGIONS[test](alpha)

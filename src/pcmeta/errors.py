@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-kind rule."""
+
+from numbers import Integral, Real
+
+import numpy as np
 
 
 class PcmetaError(Exception):
@@ -19,3 +23,19 @@ class NonConvergenceError(PcmetaError, RuntimeError):
 
 class EnumerationBudgetError(PcmetaError, RuntimeError):
     """Raised when a subset enumeration would exceed its size budget."""
+
+
+_KINDS = {Integral: "an integer", Real: "a number", str: "a string"}
+
+
+def _check_kind(name: str, value, kind: type, *, listed: bool = False, low=None) -> None:
+    """Raise unless ``value`` is a ``kind`` (a bool is not a number), at
+    least ``low`` if given, or, when ``listed``, a non-empty list, tuple
+    or array of them."""
+    if listed and (not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0):
+        raise InputValidationError(f"{name} must be a non-empty list, got {value!r}")
+    for v in value if listed else [value]:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise InputValidationError(f"{name}: {v!r} is not {_KINDS[kind]}")
+        if low is not None and v < low:
+            raise InputValidationError(f"{name} must be at least {low}, got {v!r}")

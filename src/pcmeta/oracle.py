@@ -13,20 +13,22 @@ draws a chunk of rows from the one seeded stream (the same numbers as
 a single draw of every row), clips it, scores it and adds its counts
 per alpha, so memory does not grow with the replicate count.  A plain
 rule is called once per row.  A ``BatchedRule`` also carries a row
-form, which scores the whole chunk; only rows it places near an alpha
-are scored by the scalar rule, so the estimates are the same as the
-plain rule's.
+form, which scores the whole chunk; the scalar rule rescores only the
+rows that ``combiners._needs_rescore`` selects, as in
+``gbhpc_enumerate``, so the estimates are the plain rule's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputValidationError
+from .combiners import _CHUNK_ROWS, _needs_rescore
+from .errors import InputValidationError, _check_kind
 from .numerics import ProbValue, two_sided_log_p
 
 __all__ = [
@@ -53,10 +55,7 @@ class NullConfig:
     z_means: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_studies, (int, np.integer)):
-            raise InputValidationError(f"n_studies must be an integer, got {self.n_studies!r}")
-        if self.n_studies < 1:
-            raise InputValidationError("need at least one study")
+        _check_kind("n_studies", self.n_studies, Integral, low=1)
         if self.z_means is None:
             return
         if len(self.z_means) != self.n_studies:
@@ -66,13 +65,6 @@ class NullConfig:
 
 
 Rule = Callable[[Sequence[ProbValue]], ProbValue]
-
-# Replicates drawn and scored per pass: a whole (reps, n) draw, and the
-# row form's temporaries over it, would grow with reps.
-_CHUNK_ROWS = 1024
-# Relative tolerance around each log alpha; the row forms agree with the
-# scalar rules to ~1e-13 relative, far inside it.
-_NEAR_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,16 +108,16 @@ def mc_validity(
 
     The replicates are drawn, clipped to log p <= 0 and scored in chunks
     of ``_CHUNK_ROWS`` rows.  A plain rule is called once per row.  A
-    ``BatchedRule`` scores each chunk with its row form; a row whose
-    value is NaN or within tol = 1e-9 * (1 + |log alpha|) of any log
-    alpha is rescored by its scalar rule.  Every other row's approximate
-    value lies on the same side of each log alpha as its exact value, so
-    the estimates equal the scalar rule's.  Returns one estimate per
-    alpha, each carrying the 3-standard-error acceptance bound and a
-    validity flag.
+    ``BatchedRule`` scores each chunk with its row form, and its scalar
+    rule rescores every row that ``_needs_rescore`` selects: NaN, or
+    within 1e-9 * (1 + |log alpha|) of any log alpha.  Every other row's
+    approximate value lies on the same side of each log alpha as its
+    exact value, so the estimates equal the scalar rule's.  Returns one
+    estimate per alpha, each carrying the 3-standard-error acceptance
+    bound and a validity flag.
     """
-    if reps < 10**4:
-        raise InputValidationError(f"reps must be at least 1e4, got {reps}")
+    _check_kind("reps", reps, Integral, low=10**4)
+    _check_kind("seed", seed, Integral, low=0)
     if not alpha_list or any(not (0.0 < a < 1.0) for a in alpha_list):
         raise InputValidationError("alphas must lie in (0, 1)")
     # Looked up per call, so that a wrapper installed on the class is seen.
@@ -133,7 +125,6 @@ def mc_validity(
     scalar, rows = (rule.scalar, rule.rows) if isinstance(rule, BatchedRule) else (rule, None)
     log_alphas = [math.log(alpha) for alpha in alpha_list]
     targets = np.array(log_alphas)
-    tol = _NEAR_RTOL * (1.0 + np.abs(targets))
     hits = np.zeros(len(targets), dtype=np.int64)
     rng = np.random.default_rng([seed])
     for start in range(0, reps, _CHUNK_ROWS):
@@ -142,8 +133,7 @@ def mc_validity(
             values, exact = np.empty(len(chunk)), np.arange(len(chunk))
         else:
             values = np.array(rows(chunk), dtype=float)
-            near = np.isnan(values) | (np.abs(values[:, None] - targets) <= tol).any(axis=1)
-            exact = np.flatnonzero(near)
+            exact = np.flatnonzero(_needs_rescore(values, targets))
         for i, row in zip(exact.tolist(), chunk[exact].tolist()):
             values[i] = scalar([from_log(v) for v in row]).log_value
         hits += (values[:, None] <= targets).sum(axis=0)
@@ -164,14 +154,13 @@ def tpm_mc_cdf(
     W multiplies the uniforms that land at or below gamma (empty
     product = 1).  Returns (estimate, standard error).
     """
-    if L < 1:
-        raise InputValidationError("L must be at least 1")
+    _check_kind("L", L, Integral, low=1)
+    _check_kind("reps", reps, Integral, low=10**6)
+    _check_kind("seed", seed, Integral, low=0)
     if not (0.0 < gamma <= 1.0):
         raise InputValidationError(f"gamma must be in (0, 1], got {gamma!r}")
     if not (0.0 <= w <= 1.0):
         raise InputValidationError(f"w must be in [0, 1], got {w!r}")
-    if reps < 10**6:
-        raise InputValidationError(f"reps must be at least 1e6, got {reps}")
     if w == 0.0:
         return 0.0, 0.0
     rng = np.random.default_rng([seed])

@@ -11,9 +11,10 @@ constructions are implemented:
   g_u (e.g. a weighted z-rule with weights bound to study indices) are
   expressed through a factory that receives the original indices.  The
   library factories ``fixed_subset_combiner`` and
-  ``weighted_subset_combiner`` also carry an array form, which screens
-  subsets in chunks before the scalar rule rescores the best, so the
-  result stays exact; other factories run the scalar loop.
+  ``weighted_subset_combiner`` also carry an array form, which scores
+  every subset; the scalar rule rescores only those that
+  ``combiners._needs_rescore`` selects, so the result stays exact.
+  Other factories run the scalar loop.
 
 Monte Carlo studies use the row forms ``bhpc_rows`` and
 ``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
@@ -35,16 +36,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
+from numbers import Integral
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
 
 from .combiners import (
+    _CHUNK_ROWS,
     CombinerSpec,
     _check_weights,
+    _needs_rescore,
     combine,
     combine_stouffer_weighted,
     log_fisher,
@@ -55,6 +59,7 @@ from .errors import (
     EnumerationBudgetError,
     InputValidationError,
     NonConvergenceError,
+    _check_kind,
 )
 from .numerics import ProbValue, std_normal_quantile
 
@@ -81,12 +86,6 @@ SubsetCombinerFactory = Callable[[tuple[int, ...]], SubsetCombiner]
 RowKernel = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-# Subsets per array-kernel chunk: large enough to amortise numpy calls,
-# small enough that the chunk's temporaries stay a few hundred kB.
-_CHUNK_ROWS = 1024
-# Relative screening tolerance; the array kernels agree with the scalar
-# rules to ~1e-13 relative, so this is far above twice their roundoff.
-_SCREEN_RTOL = 1e-9
 # Entries per structured_subset_combiner memo: enough for every member
 # set of every block when n <= 14; a few MB at most.
 _BLOCK_FISHER_CACHE_SIZE = 1 << 14
@@ -159,7 +158,8 @@ class PcCurve:
 
 
 def _check_r(n: int, r: int) -> None:
-    if not isinstance(r, int) or not (1 <= r <= n):
+    _check_kind("r", r, Integral)
+    if not (1 <= r <= n):
         raise InputValidationError(f"require 1 <= r <= {n}, got r={r!r}")
 
 
@@ -212,13 +212,13 @@ class _ArrayFactory:
 
     Called with a subset it returns the scalar combiner, like any
     factory.  ``bind(ps)`` returns a ``RowKernel`` for these p-values,
-    or None where the array form does not apply to them.
+    NaN for the subsets it cannot score.
     """
 
     def __init__(
         self,
         scalar: SubsetCombinerFactory,
-        bind: Callable[[Sequence[ProbValue]], RowKernel | None],
+        bind: Callable[[Sequence[ProbValue]], RowKernel],
     ) -> None:
         self._scalar = scalar
         self.bind = bind
@@ -227,41 +227,27 @@ class _ArrayFactory:
         return self._scalar(u)
 
 
-def _screen(
-    subsets: Iterator[tuple[int, ...]], size: int, kernel: RowKernel
-) -> list[tuple[int, ...]]:
-    """The subsets, in enumeration order, whose approximate log value is
-    within tol = 1e-9 * (1 + |M|) of the approximate maximum M.
+def _screen(n: int, size: int, kernel: RowKernel) -> Iterator[tuple[int, ...]]:
+    """The subsets of size ``size``, in enumeration order, that
+    ``_needs_rescore`` selects with the approximate maximum M as target.
 
-    Subsets are drawn in chunks of ``_CHUNK_ROWS`` index rows; the full
-    index matrix is never built.  When M = -inf only the first subset
-    is kept.
+    The kernel scores ``_CHUNK_ROWS`` index rows at a time; the index
+    matrix is never built.  When M = -inf the first non-NaN subset
+    stands for all of them (see ``gbhpc_enumerate``).
     """
-    top = -math.inf
-    kept: list[tuple[float, tuple[int, ...]]] = []
-    while True:
-        flat = np.fromiter(
-            chain.from_iterable(islice(subsets, _CHUNK_ROWS)), dtype=np.intp
-        )
-        if flat.size == 0:
-            break
-        rows = flat.reshape(-1, size)
-        approx = kernel(rows)
-        chunk_top = float(approx.max())
-        if chunk_top == -math.inf:
-            if not kept:
-                kept.append((chunk_top, tuple(rows[0].tolist())))
-            continue
-        floor = max(top, chunk_top)
-        floor -= _SCREEN_RTOL * (1.0 + abs(floor))
-        if chunk_top > top:
-            top = chunk_top
-            kept = [c for c in kept if c[0] >= floor]
-        kept.extend(
-            (float(approx[i]), tuple(rows[i].tolist()))
-            for i in np.flatnonzero(approx >= floor)
-        )
-    return [u for _, u in kept]
+    subsets = combinations(range(n), size)
+    approx = np.empty(math.comb(n, size))
+    for start in range(0, len(approx), _CHUNK_ROWS):
+        flat = chain.from_iterable(islice(subsets, _CHUNK_ROWS))
+        rows = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+        approx[start : start + len(rows)] = kernel(rows)
+    top = np.fmax.reduce(approx, initial=-math.inf)  # NaN-ignoring max
+    if top == -math.inf:
+        keep = np.isnan(approx)
+        keep[keep.argmin()] = True  # the first non-NaN subset, if any
+    else:
+        keep = _needs_rescore(approx, [top])
+    return compress(combinations(range(n), size), keep)
 
 
 def gbhpc_enumerate(
@@ -281,29 +267,30 @@ def gbhpc_enumerate(
     first subset attaining the maximum (strict ``>``) gives the result.
     With a factory from ``fixed_subset_combiner`` (any symmetric rule,
     TPM included) or ``weighted_subset_combiner``, an array kernel first
-    scores subsets in chunks of ``_CHUNK_ROWS`` to approximate log
-    values, and only the subsets within tol = 1e-9 * (1 + |M|) of the
-    approximate maximum M are scored by the scalar rule, in enumeration
-    order with the same strict ``>``.  The kernels agree with the scalar
-    rules to far less than tol / 2, so every subset attaining the exact
-    maximum survives the screen, and the first of them is the one the
-    full scalar loop would return: the result is the same ``ProbValue``,
-    bit for bit.  A kernel value is -inf only where the scalar value is
-    -inf too (a subset holding a p of 0; for the weighted rule, only
-    past |z| ~ 1e154, i.e. log p below about -5e307), so when M = -inf
-    every subset ties and the first alone is scored.
-    ``structured_subset_combiner`` and plain callables, and a weighted
-    rule with a p of 0 or 1 (which then raises as the scalar rule does),
-    take the scalar loop over every subset.
+    writes an approximate log value per subset into one float array
+    (C(n, r-1) floats, at most 8 MB within the default budget).  The
+    scalar rule then scores, in enumeration order with the same strict
+    ``>``, only the subsets ``_needs_rescore`` keeps with the maximum M
+    of the non-NaN values as target: NaN ones and those within
+    tol = 1e-9 * (1 + |M|) of M.  A kernel's numbers agree with the
+    scalar rule to far less than tol / 2, so every subset attaining the
+    exact maximum is rescored and the first of them is the one the full
+    scalar loop returns: the same ``ProbValue``, bit for bit.  NaN marks
+    a subset the kernel cannot score: for the weighted rule, one holding
+    a p of 0 or 1, where the scalar rule raises as it always has.  A
+    kernel value is -inf only where the scalar value is -inf too (a p of
+    0; for the weighted rule also log p below about -5e307, past
+    |z| ~ 1e154), so when M = -inf the first non-NaN subset stands for
+    all of them.  Other factories take the scalar loop over every subset.
     """
     n = len(ps)
     _check_r(n, r)
     _check_budget(n, r, budget)
     size = n - r + 1
-    subsets: Iterable[tuple[int, ...]] = combinations(range(n), size)
-    kernel = g.bind(ps) if isinstance(g, _ArrayFactory) else None
-    if kernel is not None:
-        subsets = _screen(subsets, size, kernel)
+    if isinstance(g, _ArrayFactory):
+        subsets = _screen(n, size, g.bind(ps))
+    else:
+        subsets = combinations(range(n), size)
     best: ProbValue | None = None
     for u in subsets:
         value = g(u)([ps[i] for i in u])
@@ -336,8 +323,9 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
     subset u is combined with the weights ``weights[i]`` for i in u.
 
     The array form computes z_i = -Phi^{-1}(p_i) once per study with
-    the scalar ``std_normal_quantile``.  It declines when a p is 0 or 1,
-    so the scalar rule raises on them as it always has.
+    the scalar ``std_normal_quantile``, and z_i = NaN for a p of 0 or 1,
+    so every subset holding one is rescored and the scalar rule raises
+    on it as it always has.
     """
     weights = tuple(float(w) for w in weights)
     _check_weights(weights)
@@ -347,10 +335,9 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
         w_u = [weights[i] for i in u]
         return lambda p_u: combine_stouffer_weighted(p_u, w_u)
 
-    def bind(ps: Sequence[ProbValue]) -> RowKernel | None:
-        if any(p.is_zero or p.is_one for p in ps):
-            return None
-        z = np.array([-std_normal_quantile(p) for p in ps])
+    def bind(ps: Sequence[ProbValue]) -> RowKernel:
+        z = np.array([math.nan if p.is_zero or p.is_one else -std_normal_quantile(p)
+                      for p in ps])
         return lambda idx: log_stouffer_rows(z[idx], w[idx])
 
     return _ArrayFactory(factory, bind)
@@ -367,7 +354,7 @@ def weighted_gbhpc_rows(log_p: np.ndarray, r: int, weights: Sequence[float]) -> 
     _check_r(n, r)
     _check_budget(n, r)
     w = np.array(weights, dtype=float)
-    _check_weights(tuple(w))
+    _check_weights(w)
     if len(w) != n:
         raise InputValidationError(f"{len(w)} weights for {n} p-values")
     z = -special.ndtri_exp(log_p)

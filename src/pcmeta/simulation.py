@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .combiners import CombinerSpec
-from .errors import InputValidationError
+from .errors import InputValidationError, _check_kind
 from .numerics import ProbValue, two_sided_log_p
 from .partial_conjunction import _check_budget, bhpc_rows, weighted_gbhpc_rows
 
@@ -51,19 +51,6 @@ _RULES = {
 METHOD_NAMES = tuple(_RULES)
 
 
-_KINDS = {Integral: "an integer", Real: "a number", str: "a string"}
-
-
-def _check_kind(name: str, value, kind: type, *, listed: bool = False) -> None:
-    """Raise unless ``value`` is a ``kind`` (a bool is not a number) or,
-    when ``listed``, a non-empty list, tuple or array of them."""
-    if listed and (not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0):
-        raise InputValidationError(f"{name} must be a non-empty list, got {value!r}")
-    for v in value if listed else [value]:
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise InputValidationError(f"{name}: {v!r} is not {_KINDS[kind]}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one power-map run (a single true non-null count)."""
@@ -84,14 +71,14 @@ class SimConfig:
     nonnull_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("r0", "reps", "seed", "n", "r"):
+        for name in ("r0", "n", "r"):
             _check_kind(name, getattr(self, name), Integral)
+        _check_kind("reps", self.reps, Integral, low=10**3)
+        _check_kind("seed", self.seed, Integral, low=0)
         for name in ("mu0", "sigma0", "alpha"):
             _check_kind(name, getattr(self, name), Real)
         _check_kind("sample_sizes", self.sample_sizes, Integral, listed=True)
         _check_kind("methods", self.methods, str, listed=True)
-        if self.seed < 0:
-            raise InputValidationError(f"seed must be non-negative, got {self.seed}")
         if self.n < 1 or len(self.sample_sizes) != self.n:
             raise InputValidationError("sample_sizes must have length n")
         if any(s <= 0 for s in self.sample_sizes):
@@ -102,8 +89,6 @@ class SimConfig:
             raise InputValidationError(f"r must be in 1..{self.n}, got {self.r}")
         if not (0 < self.mu0 < math.inf and 0 < self.sigma0 < math.inf):
             raise InputValidationError("mu0 and sigma0 must be positive and finite")
-        if self.reps < 10**3:
-            raise InputValidationError(f"reps must be at least 1e3, got {self.reps}")
         if not (0.0 < self.alpha < 1.0):
             raise InputValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         unknown = set(self.methods) - set(METHOD_NAMES)
@@ -179,7 +164,7 @@ def run_power_map(
     _check_kind("mu0_values", mu0_values, Real, listed=True)
     _check_kind("sigma0_values", sigma0_values, Real, listed=True)
     cell_cfgs = [
-        replace(cfg, mu0=float(mu0), sigma0=float(sigma0), r=int(cfg.r))
+        replace(cfg, mu0=float(mu0), sigma0=float(sigma0))
         for mu0 in mu0_values
         for sigma0 in sigma0_values
     ]

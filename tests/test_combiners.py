@@ -10,6 +10,7 @@ from scipy import stats
 from _golden import CASE_A, CASE_B, TABLE_1A
 from pcmeta.combiners import (
     CombinerSpec,
+    _needs_rescore,
     CountTable2x2,
     combine,
     combine_bonferroni,
@@ -152,6 +153,14 @@ class TestStouffer:
     def test_weight_length_mismatch(self):
         with pytest.raises(InputValidationError):
             combine_stouffer_weighted(pv(0.1, 0.2), [1.0])
+
+    def test_numpy_weights(self):
+        ps = pv(0.01, 0.3, 0.2)
+        want = combine_stouffer_weighted(ps, (1.0, 2.0, 0.5))
+        got = combine_stouffer_weighted(ps, np.array([1.0, 2.0, 0.5]))
+        assert (got.log_value, got.linear) == (want.log_value, want.linear)
+        with pytest.raises(InputValidationError):
+            combine_stouffer_weighted(pv(0.1), np.array([]))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_nonfinite_or_nonpositive_weight_rejected(self, bad):
@@ -407,6 +416,24 @@ class TestRowsFor:
         rows = rows_for(CombinerSpec("stouffer_weighted", weights=(1.0, 2.0)))
         with pytest.raises(InputValidationError, match="2 weights for 3 p-values"):
             rows(_log_rows((0.1, 0.2, 0.3)))
+
+
+class TestNeedsRescore:
+    def test_edge_of_the_tolerance(self):
+        # At target 0 the tolerance is 1e-9 exactly.
+        at = -1e-9
+        beyond = np.nextafter(at, -np.inf)
+        got = _needs_rescore(np.array([0.0, at, beyond, 1e-9, -0.5]), [0.0])
+        assert got.tolist() == [True, True, False, True, False]
+
+    def test_nan_rows_kept(self):
+        got = _needs_rescore(np.array([np.nan, -3.0, np.nan, -np.inf]), [-1.0])
+        assert got.tolist() == [True, False, True, False]
+
+    def test_several_targets(self):
+        targets = [math.log(0.01), math.log(0.05)]
+        values = np.array([targets[0], targets[1] * (1 + 1e-12), -2.0, -np.inf, 0.0])
+        assert _needs_rescore(values, targets).tolist() == [True, True, False, False, False]
 
 
 class TestFisherExact:

@@ -171,3 +171,6 @@ class TestPowerGrid:
             power_grid_2d("phi", [0.0], 0.1, 100, 5)
         with pytest.raises(InputValidationError):
             power_grid_2d("nope", [0.0], 0.1, 10**4, 5)
+        for reps, seed in [(1e4, 5), (10**4, -1), (10**4, 5.0)]:
+            with pytest.raises(InputValidationError):
+                power_grid_2d("phi", [0.0], 0.1, reps, seed)

@@ -33,6 +33,19 @@ from pcmeta.partial_conjunction import (
 
 
 class TestMcValidity:
+    @pytest.mark.parametrize("reps, seed", [(1e4, 1), (10**4, -1), (10**4, 1.0),
+                                            (10**4, True)])
+    def test_integer_reps_and_seed(self, reps, seed):
+        rule = lambda ps: combine(CombinerSpec("fisher"), ps)
+        with pytest.raises(InputValidationError):
+            mc_validity(rule, NullConfig(2), [0.05], reps=reps, seed=seed)
+
+    def test_integer_study_count(self):
+        for bad in (True, 2.0, 0):
+            with pytest.raises(InputValidationError):
+                NullConfig(bad)
+        assert NullConfig(np.int64(3)).n_studies == 3
+
     def test_uniform_fisher_is_exact_level(self):
         rule = lambda ps: combine(CombinerSpec("fisher"), ps)
         (est,) = mc_validity(rule, NullConfig(5), [0.05], reps=10**5, seed=1)
@@ -190,6 +203,10 @@ class TestTpmMcCdf:
         assert a == b
 
     def test_validation(self):
+        for L, reps, seed in [(3.0, 10**6, 0), (3, 1e6, 0), (3, 10**6, -1), (0, 10**6, 0),
+                              (True, 10**6, 0)]:
+            with pytest.raises(InputValidationError):
+                tpm_mc_cdf(L, 0.2, 0.5, reps=reps, seed=seed)
         with pytest.raises(InputValidationError):
             tpm_mc_cdf(3, 0.2, 0.5, reps=10**4, seed=0)
         with pytest.raises(InputValidationError):

@@ -89,6 +89,27 @@ class TestBhpc:
         second = sorted(p.linear for p in bundled_pvalues)[1]
         assert math.isclose(got.linear, 17 * second, rel_tol=1e-12)
 
+    def test_numpy_integer_r(self):
+        ps = pv(0.02, 0.8, 0.3, 0.5, 0.01)
+        log_p = np.array([[p.log_value for p in ps]])
+        groups = GroupPartition.from_labels(["a", "a", "b", "b", "c"])
+        constructions = {
+            "bhpc": lambda r: bhpc(ps, r, FISHER),
+            "gbhpc_enumerate": lambda r: gbhpc_enumerate(ps, r, fixed_subset_combiner(FISHER)),
+            "structured_gbhpc": lambda r: structured_gbhpc(ps, r, groups),
+        }
+        for name, evaluate in constructions.items():
+            for r in range(1, 6):
+                got, want = evaluate(np.int64(r)), evaluate(r)
+                assert (got.log_value, got.linear) == (want.log_value, want.linear), name
+            with pytest.raises(InputValidationError):
+                evaluate(True)
+        for r in range(1, 6):
+            assert np.array_equal(bhpc_rows(log_p, np.int64(r), FISHER),
+                                  bhpc_rows(log_p, r, FISHER))
+        with pytest.raises(InputValidationError):
+            bhpc_rows(log_p, True, FISHER)
+
     def test_rejects_weighted_rule(self):
         spec = CombinerSpec("stouffer_weighted", weights=(1.0, 2.0, 3.0))
         with pytest.raises(InputValidationError):
@@ -335,6 +356,25 @@ class TestArrayPath:
         # check the r whose subsets number at most C(18, 4).
         assert_array_path_exact(bundled_pvalues, weights, names=("tpm",),
                                 rs=[1, 2, 3, 4, 5, 15, 16, 17, 18])
+
+    def test_tied_subsets_over_many_chunks(self):
+        # Every p equal: C(16, 8) = 12,870 exactly tied subsets at r = 9,
+        # thirteen chunks, all rescored; the first is the scalar loop's.
+        ps = pv(*[0.3] * 16)
+        for factory in array_factories([1.0] * 16).values():
+            for r in range(1, 17):
+                got = gbhpc_enumerate(ps, r, factory)
+                want = scalar_max(ps, r, factory)
+                assert (got.log_value, got.linear) == (want.log_value, want.linear)
+
+    def test_weighted_array_form_nan_at_zero_and_one(self):
+        ps = pv(0.2, 0.0, 0.05, 1.0, 0.6)
+        kernel = weighted_subset_combiner([1.0, 2.0, 0.5, 1.5, 3.0]).bind(ps)
+        idx = np.array(list(combinations(range(5), 3)))
+        values = kernel(idx)
+        holds_edge = np.isin(idx, [1, 3]).any(axis=1)
+        assert np.isnan(values[holds_edge]).all()
+        assert np.isfinite(values[~holds_edge]).all()
 
     def test_stouffer_raises_at_zero_and_one(self):
         factory = weighted_subset_combiner([1.0, 2.0, 3.0, 4.0])
