@@ -23,6 +23,7 @@ from .counterexample import (
     phi_prime,
     phi_tilde,
     power_grid_2d,
+    power_grids_2d,
     region_phi,
     region_phi_prime,
     region_phi_tilde,
@@ -101,6 +102,7 @@ __all__ = [
     "phi_prime",
     "phi_tilde",
     "power_grid_2d",
+    "power_grids_2d",
     "region_phi",
     "region_phi_prime",
     "region_phi_tilde",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as pio
 from .combiners import CombinerSpec, combine, fisher_exact_2x2, rows_for
-from .counterexample import TEST_NAMES, power_grid_2d
+from .counterexample import TEST_NAMES, power_grids_2d
 from .errors import InputValidationError, NonConvergenceError, PcmetaError
 from .oracle import BatchedRule, NullConfig, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
@@ -226,10 +226,7 @@ def cmd_counterexample(args) -> int:
     if args.grid < 1 or not math.isfinite(args.mu_max):
         raise InputValidationError("--grid must be at least 1 and --mu-max finite")
     mu_grid = list(np.linspace(0.0, args.mu_max, args.grid))
-    grids = [
-        power_grid_2d(test, mu_grid, args.alpha, args.reps, args.seed)
-        for test in TEST_NAMES
-    ]
+    grids = power_grids_2d(TEST_NAMES, mu_grid, args.alpha, args.reps, args.seed)
     text = pio.counterexample_grid_to_csv(grids)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import InputValidationError, NumericDomainError
+from .errors import InputValidationError, NumericDomainError, _check_kind
 from .numerics import (
     ProbValue,
     _log_poisson_head,
@@ -356,8 +357,8 @@ class CountTable2x2:
     def __post_init__(self) -> None:
         for name in ("events_a", "total_a", "events_b", "total_b"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise InputValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+            _check_kind(name, v, Integral, low=0)
+            object.__setattr__(self, name, int(v))
         if self.total_a <= 0 or self.total_b <= 0:
             raise InputValidationError("totals must be positive")
         if self.events_a > self.total_a or self.events_b > self.total_b:

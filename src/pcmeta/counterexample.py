@@ -19,9 +19,11 @@ lines included, for every alpha; the boundary itself carries no
 probability under continuous draws.
 
 ``slice_validity`` verifies the slice bound analytically from the
-square decomposition, and ``power_grid_2d`` estimates power maps for
-two-sided normal tests with per-grid-point seeded streams, so powers of
-different tests at the same (seed, grid) share draws.
+square decomposition, and ``power_grids_2d`` estimates power maps of
+several tests for two-sided normal statistics.  Each grid point gets one
+draw, from a stream seeded by (seed, i, j), and every test scores that
+same draw, so powers of different tests at a grid point differ only by
+their regions; ``power_grid_2d`` is the one-test case.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "PowerPoint",
     "CounterexamplePowerGrid",
     "power_grid_2d",
+    "power_grids_2d",
     "TEST_NAMES",
 ]
 
@@ -231,6 +234,47 @@ def _two_sided_p(z: np.ndarray) -> np.ndarray:
     return 2.0 * special.ndtr(-np.abs(z))
 
 
+def power_grids_2d(
+    tests: Sequence[str],
+    mu_grid: Sequence[float],
+    alpha: float,
+    reps: int,
+    seed: int,
+) -> list[CounterexamplePowerGrid]:
+    """Monte Carlo power of several tests over the (mu1, mu2) product grid.
+
+    Z_i ~ N(mu_i, 1) with two-sided p-values.  Grid point (i, j) gets one
+    draw of ``reps`` pairs from the stream seeded by (seed, i, j), and
+    every test scores that draw, so pointwise power comparisons are free
+    of Monte Carlo sign noise.  Returns one grid per test, in the order
+    of ``tests``.  Every input is validated, and every region built,
+    before the first draw.
+    """
+    _check_kind("tests", tests, str, listed=True)
+    for test in tests:
+        if test not in TEST_NAMES:
+            raise InputValidationError(f"unknown test {test!r}; pick one of {TEST_NAMES}")
+    _check_kind("reps", reps, Integral, low=10**4)
+    _check_kind("seed", seed, Integral, low=0)
+    if len(mu_grid) == 0 or not all(math.isfinite(mu) for mu in mu_grid):
+        raise InputValidationError("mu_grid must hold at least one finite mean")
+    regions = [_REGIONS[test](alpha) for test in tests]
+    points: list[list[PowerPoint]] = [[] for _ in tests]
+    for i, mu1 in enumerate(mu_grid):
+        for j, mu2 in enumerate(mu_grid):
+            noise = np.random.default_rng([seed, i, j]).standard_normal((reps, 2))
+            p1 = _two_sided_p(mu1 + noise[:, 0])
+            p2 = _two_sided_p(mu2 + noise[:, 1])
+            for test, region, out in zip(tests, regions, points):
+                power = float(np.mean(region.contains(p1, p2)))
+                se = math.sqrt(power * (1.0 - power) / reps)
+                out.append(PowerPoint(float(mu1), float(mu2), test, power, se))
+    return [
+        CounterexamplePowerGrid(alpha=alpha, reps=reps, seed=seed, points=tuple(pts))
+        for pts in points
+    ]
+
+
 def power_grid_2d(
     test: str,
     mu_grid: Sequence[float],
@@ -240,29 +284,7 @@ def power_grid_2d(
 ) -> CounterexamplePowerGrid:
     """Monte Carlo power of one test over the (mu1, mu2) product grid.
 
-    Z_i ~ N(mu_i, 1) with two-sided p-values.  The noise stream at grid
-    point (i, j) is seeded by (seed, i, j) only, so calls for different
-    tests at the same seed/grid share draws and pointwise power
-    comparisons are free of Monte Carlo sign noise.
+    The one-test case of ``power_grids_2d``: the grid equals that test's
+    entry there, since every test scores the same draw per grid point.
     """
-    if test not in TEST_NAMES:
-        raise InputValidationError(f"unknown test {test!r}; pick one of {TEST_NAMES}")
-    _check_kind("reps", reps, Integral, low=10**4)
-    _check_kind("seed", seed, Integral, low=0)
-    if len(mu_grid) == 0 or not all(math.isfinite(mu) for mu in mu_grid):
-        raise InputValidationError("mu_grid must hold at least one finite mean")
-    region = _REGIONS[test](alpha)
-    points: list[PowerPoint] = []
-    for i, mu1 in enumerate(mu_grid):
-        for j, mu2 in enumerate(mu_grid):
-            rng = np.random.default_rng([seed, i, j])
-            noise = rng.standard_normal((reps, 2))
-            p1 = _two_sided_p(mu1 + noise[:, 0])
-            p2 = _two_sided_p(mu2 + noise[:, 1])
-            hits = region.contains(p1, p2)
-            power = float(np.mean(hits))
-            se = math.sqrt(power * (1.0 - power) / reps)
-            points.append(PowerPoint(float(mu1), float(mu2), test, power, se))
-    return CounterexamplePowerGrid(
-        alpha=alpha, reps=reps, seed=seed, points=tuple(points)
-    )
+    return power_grids_2d((test,), mu_grid, alpha, reps, seed)[0]

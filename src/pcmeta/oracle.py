@@ -118,13 +118,12 @@ def mc_validity(
     """
     _check_kind("reps", reps, Integral, low=10**4)
     _check_kind("seed", seed, Integral, low=0)
-    if not alpha_list or any(not (0.0 < a < 1.0) for a in alpha_list):
+    if len(alpha_list) == 0 or any(not (0.0 < a < 1.0) for a in alpha_list):
         raise InputValidationError("alphas must lie in (0, 1)")
     # Looked up per call, so that a wrapper installed on the class is seen.
     from_log = ProbValue.from_log
     scalar, rows = (rule.scalar, rule.rows) if isinstance(rule, BatchedRule) else (rule, None)
-    log_alphas = [math.log(alpha) for alpha in alpha_list]
-    targets = np.array(log_alphas)
+    targets = np.array([math.log(alpha) for alpha in alpha_list])
     hits = np.zeros(len(targets), dtype=np.int64)
     rng = np.random.default_rng([seed])
     for start in range(0, reps, _CHUNK_ROWS):
@@ -138,7 +137,7 @@ def mc_validity(
             values[i] = scalar([from_log(v) for v in row]).log_value
         hits += (values[:, None] <= targets).sum(axis=0)
     out = []
-    for alpha, log_alpha, hit in zip(alpha_list, log_alphas, hits.tolist()):
+    for alpha, hit in zip(map(float, alpha_list), hits.tolist()):
         rate = hit / reps
         se = math.sqrt(rate * (1.0 - rate) / reps)
         bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / reps)

@@ -99,21 +99,22 @@ class GroupPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks)
-        )
         seen: set[int] = set()
         for block in self.blocks:
-            if not block:
+            if len(block) == 0:
                 raise InputValidationError("empty block in partition")
             for idx in block:
-                if not isinstance(idx, int) or idx < 0 or idx >= self.n:
+                _check_kind("index", idx, Integral)
+                if not 0 <= idx < self.n:
                     raise InputValidationError(f"index {idx!r} outside 0..{self.n - 1}")
                 if idx in seen:
                     raise InputValidationError(f"index {idx} appears in two blocks")
-                seen.add(idx)
+                seen.add(int(idx))
         if len(seen) != self.n:
             raise InputValidationError("blocks do not cover all indices")
+        object.__setattr__(
+            self, "blocks", tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        )
 
     @staticmethod
     def from_labels(labels: Sequence[str]) -> "GroupPartition":

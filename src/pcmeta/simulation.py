@@ -132,12 +132,13 @@ class PowerGrid:
 
 def _draw_log_pvalues(cfg: SimConfig, rng: np.random.Generator, reps: int) -> np.ndarray:
     """(reps, n) matrix of log two-sided p-values under cfg."""
+    mask = np.zeros((reps, cfg.n), dtype=bool)
     if cfg.nonnull_indices is not None:
-        mask = np.zeros((reps, cfg.n), dtype=bool)
         mask[:, list(cfg.nonnull_indices)] = True
     else:
-        ranks = rng.random((reps, cfg.n)).argsort(axis=1).argsort(axis=1)
-        mask = ranks < cfg.r0
+        # The r0 studies with the smallest uniform keys are non-null.
+        order = rng.random((reps, cfg.n)).argsort(axis=1)
+        np.put_along_axis(mask, order[:, : cfg.r0], True, axis=1)
     effects = rng.gamma(cfg.gamma_shape, cfg.gamma_scale, size=(reps, cfg.n))
     mu = np.where(mask, effects, 0.0)
     z = rng.standard_normal((reps, cfg.n)) + np.sqrt(np.array(cfg.sample_sizes)) * mu

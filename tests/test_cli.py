@@ -5,6 +5,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from pcmeta import cli
@@ -357,6 +358,19 @@ class TestCounterexampleCommand:
                                "10000", "--seed", "-1", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and json.loads(err)["error"] == "InputValidationError"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_alpha_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*_):
+            raise AssertionError("drew before validating --alpha")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "counterexample", "--alpha", "0.6", "--grid", "11",
+                               "--reps", "20000", "--out", str(out))
+        assert code == 2
+        assert json.loads(err) == {"error": "InputValidationError",
+                                   "message": "phi_tilde needs alpha in (0, 1/2), got 0.6"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [["--grid", "-1"], ["--grid", "0"],
                                      ["--mu-max", "nan"], ["--mu-max", "inf"]])

@@ -489,3 +489,13 @@ class TestFisherExact:
             CountTable2x2(0, 0, 1, 10)
         with pytest.raises(InputValidationError):
             fisher_exact_2x2(CountTable2x2(1, 5, 1, 5), convention="mid_p")
+
+    def test_numpy_integer_counts(self):
+        table = CountTable2x2(np.int64(8), np.int32(20), np.uint8(2), np.int64(20))
+        assert table == CountTable2x2(8, 20, 2, 20)
+        assert fisher_exact_2x2(table) == fisher_exact_2x2(CountTable2x2(8, 20, 2, 20))
+
+    @pytest.mark.parametrize("bad", [True, 3.0, np.float64(3.0), -1, np.int64(-1)])
+    def test_non_count_raises(self, bad):
+        with pytest.raises(InputValidationError, match="events_a"):
+            CountTable2x2(bad, 20, 2, 20)

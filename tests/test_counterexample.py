@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from pcmeta.counterexample import (
+    TEST_NAMES,
     phi,
     phi_prime,
     phi_tilde,
     power_grid_2d,
+    power_grids_2d,
     region_phi,
     region_phi_prime,
     region_phi_tilde,
@@ -174,3 +176,42 @@ class TestPowerGrid:
         for reps, seed in [(1e4, 5), (10**4, -1), (10**4, 5.0)]:
             with pytest.raises(InputValidationError):
                 power_grid_2d("phi", [0.0], 0.1, reps, seed)
+
+
+class TestPowerGrids:
+    MU = [0.0, 1.5, 3.0]
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.2])
+    def test_shared_draw_equals_one_test_path(self, seed, alpha):
+        grids = power_grids_2d(TEST_NAMES, self.MU, alpha, 10**4, seed)
+        assert len(grids) == len(TEST_NAMES)
+        for k, name in enumerate(TEST_NAMES):
+            assert grids[k] == power_grid_2d(name, self.MU, alpha, 10**4, seed)
+
+    @pytest.mark.parametrize("tests", [("phi_tilde",), ("phi_tilde", "phi"),
+                                       ("phi_prime", "phi_tilde", "phi")])
+    def test_subset_and_order(self, tests):
+        grids = power_grids_2d(tests, self.MU, 0.2, 10**4, 9)
+        assert grids == [power_grid_2d(name, self.MU, 0.2, 10**4, 9) for name in tests]
+        assert [grid.points[0].test for grid in grids] == list(tests)
+
+    @pytest.mark.parametrize("position", range(len(TEST_NAMES) + 1))
+    def test_unknown_name_anywhere_raises(self, position):
+        tests = list(TEST_NAMES)
+        tests.insert(position, "nope")
+        with pytest.raises(InputValidationError, match="unknown test 'nope'"):
+            power_grids_2d(tuple(tests), self.MU, 0.1, 10**4, 0)
+
+    @pytest.mark.parametrize("tests", [(), [], "phi", ("phi", 1)])
+    def test_bad_test_lists_raise(self, tests):
+        with pytest.raises(InputValidationError):
+            power_grids_2d(tests, self.MU, 0.1, 10**4, 0)
+
+    def test_every_region_is_built_before_the_first_draw(self, monkeypatch):
+        def no_draws(*_):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(InputValidationError, match="phi_tilde needs alpha"):
+            power_grids_2d(TEST_NAMES, self.MU, 0.6, 10**4, 0)

@@ -75,6 +75,16 @@ class TestMcValidity:
         with pytest.raises(InputValidationError):
             NullConfig(3, z_means=(1.0,))
 
+    def test_alpha_list_array_list_and_tuple_agree(self):
+        rule = _combine_rule(CombinerSpec("fisher"))
+        alphas = [0.05, 0.01]
+        estimates = [mc_validity(rule, NullConfig(2), kind, 10**4, 1)
+                     for kind in (alphas, tuple(alphas), np.array(alphas))]
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert all(type(est.alpha) is float for est in estimates[2])
+        with pytest.raises(InputValidationError):
+            mc_validity(rule, NullConfig(2), np.array([]), 10**4, 1)
+
     @pytest.mark.parametrize("n, z_means", [
         (2, (math.nan, 0.0)), (2, (math.inf, 0.0)), (3, (0.0, 1.0, -math.inf)),
         (2.0, None), (2.5, None), ("3", None),

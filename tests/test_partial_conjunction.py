@@ -71,6 +71,16 @@ class TestGroupPartition:
         with pytest.raises(InputValidationError):
             GroupPartition(3, ((0, 1, 2), ()))  # empty block
 
+    def test_numpy_integer_indices(self):
+        part = GroupPartition(np.int64(3), ((np.int64(2), np.int32(0)), (np.int64(1),)))
+        assert part.blocks == ((0, 2), (1,))
+        assert all(type(i) is int for block in part.blocks for i in block)
+
+    @pytest.mark.parametrize("bad", [True, False, 0.0, 1.0, np.float64(1.0), "1"])
+    def test_non_integer_index_raises(self, bad):
+        with pytest.raises(InputValidationError, match="is not an integer"):
+            GroupPartition(2, ((0,), (bad,)))
+
 
 class TestBhpc:
     def test_r1_equals_plain_combiner(self):

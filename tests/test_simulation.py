@@ -9,7 +9,7 @@ from scipy import stats
 
 from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted
 from pcmeta.errors import EnumerationBudgetError, InputValidationError
-from pcmeta.numerics import ProbValue
+from pcmeta.numerics import ProbValue, two_sided_log_p
 from pcmeta.partial_conjunction import (
     bhpc,
     bhpc_rows,
@@ -103,6 +103,21 @@ class TestDraws:
         ps = draw_study_pvalues(cfg, np.random.default_rng(2))
         assert len(ps) == 8
         assert all(isinstance(p, ProbValue) for p in ps)
+
+    @pytest.mark.parametrize("r0", [0, 2, 4, 8])
+    def test_mask_equals_double_argsort_reference(self, r0):
+        # The non-null mask takes one argsort; inverting it with a second
+        # argsort and comparing ranks with r0 must give the same matrix.
+        cfg = make_cfg(r0=r0, mu0=0.3, sigma0=0.2)
+        reps = 5000
+        rng = np.random.default_rng([11, r0])
+        ranks = rng.random((reps, cfg.n)).argsort(axis=1).argsort(axis=1)
+        effects = rng.gamma(cfg.gamma_shape, cfg.gamma_scale, size=(reps, cfg.n))
+        mu = np.where(ranks < r0, effects, 0.0)
+        z = rng.standard_normal((reps, cfg.n)) + np.sqrt(np.array(cfg.sample_sizes)) * mu
+        expected = two_sided_log_p(z)
+        got = _draw_log_pvalues(cfg, np.random.default_rng([11, r0]), reps)
+        assert np.array_equal(got, expected)
 
     def test_fixed_nonnull_assignment(self):
         cfg = make_cfg(r0=2, mu0=5.0, sigma0=0.01, nonnull_indices=(6, 7))
