@@ -34,6 +34,7 @@ from .numerics import (
     ProbValue,
     _log_poisson_head,
     _log_poisson_head_rows,
+    _log_sum_exp_rows,
     hypergeom_log_pmf,
     log_comb,
     log_sum_exp,
@@ -200,32 +201,33 @@ def log_tpm_rows(log_p: np.ndarray, gamma: float) -> np.ndarray:
         x = np.where(inside, k * log_gamma - log_w, 0.0)
         head = _log_poisson_head_rows(x, k)
         terms[:, k - 1] = base + np.where(inside, log_w + head, k * log_gamma)
-    top = terms.max(axis=1)
-    out = np.minimum(0.0, top + np.log(np.exp(terms - top[:, None]).sum(axis=1)))
+    out = np.minimum(0.0, _log_sum_exp_rows(terms))
     out[~below.any(axis=1)] = 0.0
     out[log_w == _NEG_INF] = _NEG_INF
     return out
 
 
-def _log_stouffer_p_rows(log_p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise ``combine_stouffer_weighted`` from log p-values.
-
-    z_i follows ``std_normal_quantile``'s branch: ``ndtri`` of the linear
-    p at or above 1e-15, ``ndtri_exp`` below.  Rows holding a p of 0 or
-    1, or a p within 1e-6 of 1 (where exp of a tiny log p rounds to 1 but
-    ``ProbValue`` nudges the linear value below it), give NaN: the scalar
-    rule must score those, and raises at 0 and 1.
+def _upper_z_rows(log_p: np.ndarray) -> np.ndarray:
+    """z = Phi^{-1}(1 - p) of each entry of an array of log p-values, by
+    ``std_normal_quantile``'s branch: ``ndtri`` of the linear p at or
+    above 1e-15, ``ndtri_exp`` below.  NaN at p = 0, and within 1e-6 of
+    1, where exp of a tiny log p may round to 1 but ``ProbValue`` nudges
+    the linear value below it: the scalar rule scores those.
     """
-    if len(weights) != log_p.shape[1]:
-        raise InputValidationError(
-            f"{len(weights)} weights for {log_p.shape[1]} p-values"
-        )
     linear = np.exp(log_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = -np.where(linear < 1e-15, special.ndtri_exp(log_p), special.ndtri(linear))
-        out = log_stouffer_rows(z, np.broadcast_to(weights, z.shape))
-    out[((log_p == _NEG_INF) | (linear > 1.0 - 1e-6)).any(axis=1)] = math.nan
-    return out
+    z[(log_p == _NEG_INF) | (linear > 1.0 - 1e-6)] = math.nan
+    return z
+
+
+def _log_stouffer_p_rows(log_p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise ``combine_stouffer_weighted`` from log p-values; NaN for
+    the rows holding a p that ``_upper_z_rows`` maps to NaN."""
+    if len(weights) != log_p.shape[1]:
+        raise InputValidationError(f"{len(weights)} weights for {log_p.shape[1]} p-values")
+    z = _upper_z_rows(log_p)
+    return log_stouffer_rows(z, np.broadcast_to(weights, z.shape))
 
 
 def rows_for(spec: CombinerSpec) -> Callable[[np.ndarray], np.ndarray]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -256,8 +256,10 @@ def power_grids_2d(
             raise InputValidationError(f"unknown test {test!r}; pick one of {TEST_NAMES}")
     _check_kind("reps", reps, Integral, low=10**4)
     _check_kind("seed", seed, Integral, low=0)
-    if len(mu_grid) == 0 or not all(math.isfinite(mu) for mu in mu_grid):
-        raise InputValidationError("mu_grid must hold at least one finite mean")
+    _check_kind("mu_grid", mu_grid, Real, listed=True)
+    if not all(math.isfinite(mu) for mu in mu_grid):
+        raise InputValidationError("mu_grid must hold only finite means")
+    _check_kind("alpha", alpha, Real)
     regions = [_REGIONS[test](alpha) for test in tests]
     points: list[list[PowerPoint]] = [[] for _ in tests]
     for i, mu1 in enumerate(mu_grid):

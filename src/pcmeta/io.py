@@ -232,13 +232,10 @@ def export_bundled_csv(view: str) -> str:
 
 
 def curve_warnings(curve: PcCurve) -> list[str]:
-    warnings = []
-    for prev, cur in zip(curve.entries, curve.entries[1:]):
-        if cur.p.log_value < prev.p.log_value:
-            warnings.append(
-                f"p-value curve dips: p_{{{cur.r}/{curve.n}}} < p_{{{prev.r}/{curve.n}}}"
-            )
-    return warnings
+    return [
+        f"p-value curve dips: p_{{{r}/{curve.n}}} < p_{{{r - 1}/{curve.n}}}"
+        for r in curve.dips
+    ]
 
 
 def curve_to_json_dict(curve: PcCurve) -> dict:

@@ -229,26 +229,33 @@ def _log_poisson_head(x: float, k: int) -> float:
     return log_sum_exp([j * log_x - table[j] for j in range(k)])
 
 
-def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """``_log_poisson_head(x, k)`` for each x >= 0 of a 1-D array, the row
-    form under ``log_fisher_rows`` and ``log_tpm_rows``.
+def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:
+    """log(sum(exp(t))) of each row of a (rows, k) array, the row
+    log-sum-exp under ``_log_poisson_head_rows`` and ``log_tpm_rows``.
 
-    The log-sum-exp over the k terms is plain numpy, in the same
-    arithmetic as ``scipy.special.logsumexp`` (log1p of the terms below
-    the largest) without its temporaries.  It is 0 at x = 0 and NaN at
-    x = inf.
+    Plain numpy, in the same arithmetic as ``scipy.special.logsumexp``
+    (log1p of the terms below the largest) without its temporaries.
+    -inf terms add nothing; a row of only -inf terms, or holding a NaN,
+    gives NaN.
     """
-    js = np.arange(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = js * np.log(x)[:, None] - special.gammaln(js + 1)
         top = terms.max(axis=1, keepdims=True)
         at_top = terms == top
         count = at_top.sum(axis=1, keepdims=True)
         below = np.exp(np.where(at_top, _NEG_INF, terms) - top)
         rest = below.sum(axis=1, keepdims=True)
-        series = np.log1p(rest / count) + np.log(count) + top
+        return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
+
+
+def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """``_log_poisson_head(x, k)`` for each x >= 0 of a 1-D array (NaN at
+    x = inf), the row form under ``log_fisher_rows`` and ``log_tpm_rows``."""
+    js = np.arange(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = js * np.log(x)[:, None] - special.gammaln(js + 1)
+    series = _log_sum_exp_rows(terms)
     series[x == 0.0] = 0.0
-    return series[:, 0]
+    return series
 
 
 def two_sided_log_p(z):

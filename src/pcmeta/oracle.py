@@ -8,14 +8,13 @@ against the empirical null CDF.  Normal-model draws share the
 two-sided log p-value map ``numerics.two_sided_log_p`` with the power
 simulation.
 
-``mc_validity`` runs one loop over chunks of replicates: each pass
-draws a chunk of rows from the one seeded stream (the same numbers as
-a single draw of every row), clips it, scores it and adds its counts
-per alpha, so memory does not grow with the replicate count.  A plain
-rule is called once per row.  A ``BatchedRule`` also carries a row
-form, which scores the whole chunk; the scalar rule rescores only the
-rows that ``combiners._needs_rescore`` selects, as in
-``gbhpc_enumerate``, so the estimates are the plain rule's.
+Both oracles count over one chunked null stream, ``_null_chunks`` (the
+same numbers as one draw of every row), so memory does not grow with
+the replicate count.  In ``mc_validity`` a plain rule is called once
+per row; a ``BatchedRule``'s row form scores the whole chunk and its
+scalar rule rescores only the rows that ``combiners._needs_rescore``
+selects, as in ``gbhpc_enumerate``, so the estimates are the plain
+rule's.  ``tpm_mc_cdf`` reads the uniform stream of ``NullConfig(L)``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +96,14 @@ def _draw_log_p(config: NullConfig, rng: np.random.Generator, reps: int) -> np.n
     return two_sided_log_p(z)
 
 
+def _null_chunks(config: NullConfig, reps: int, seed: int) -> Iterator[np.ndarray]:
+    """``reps`` rows of null log p-values clipped to <= 0, in chunks of
+    ``_CHUNK_ROWS`` rows from ``default_rng([seed])``."""
+    rng = np.random.default_rng([seed])
+    for start in range(0, reps, _CHUNK_ROWS):
+        yield np.minimum(0.0, _draw_log_p(config, rng, min(_CHUNK_ROWS, reps - start)))
+
+
 def mc_validity(
     rule: Rule | BatchedRule,
     null_config: NullConfig,
@@ -125,9 +132,7 @@ def mc_validity(
     scalar, rows = (rule.scalar, rule.rows) if isinstance(rule, BatchedRule) else (rule, None)
     targets = np.array([math.log(alpha) for alpha in alpha_list])
     hits = np.zeros(len(targets), dtype=np.int64)
-    rng = np.random.default_rng([seed])
-    for start in range(0, reps, _CHUNK_ROWS):
-        chunk = np.minimum(0.0, _draw_log_p(null_config, rng, min(_CHUNK_ROWS, reps - start)))
+    for chunk in _null_chunks(null_config, reps, seed):
         if rows is None:
             values, exact = np.empty(len(chunk)), np.arange(len(chunk))
         else:
@@ -150,8 +155,9 @@ def tpm_mc_cdf(
 ) -> tuple[float, float]:
     """Empirical P(W <= w) for the truncated product of L uniforms.
 
-    W multiplies the uniforms that land at or below gamma (empty
-    product = 1).  Returns (estimate, standard error).
+    W multiplies the uniforms (the ``_null_chunks`` rows of
+    ``NullConfig(L)``) at or below gamma; the empty product is 1.
+    Returns (estimate, standard error).
     """
     _check_kind("L", L, Integral, low=1)
     _check_kind("reps", reps, Integral, low=10**6)
@@ -162,17 +168,10 @@ def tpm_mc_cdf(
         raise InputValidationError(f"w must be in [0, 1], got {w!r}")
     if w == 0.0:
         return 0.0, 0.0
-    rng = np.random.default_rng([seed])
-    log_w = math.log(w)
+    log_gamma, log_w = math.log(gamma), math.log(w)
     hits = 0
-    chunk = 1 << 18
-    remaining = reps
-    while remaining > 0:
-        m = min(chunk, remaining)
-        u = rng.random((m, L))
-        logs = np.where(u <= gamma, np.log(u), 0.0)
-        log_W = logs.sum(axis=1)
+    for log_u in _null_chunks(NullConfig(L), reps, seed):
+        log_W = np.where(log_u <= log_gamma, log_u, 0.0).sum(axis=1)
         hits += int(np.count_nonzero(log_W <= log_w))
-        remaining -= m
     rate = hits / reps
     return rate, math.sqrt(rate * (1.0 - rate) / reps)

@@ -49,6 +49,7 @@ from .combiners import (
     CombinerSpec,
     _check_weights,
     _needs_rescore,
+    _upper_z_rows,
     combine,
     combine_stouffer_weighted,
     log_fisher,
@@ -61,7 +62,7 @@ from .errors import (
     NonConvergenceError,
     _check_kind,
 )
-from .numerics import ProbValue, std_normal_quantile
+from .numerics import ProbValue
 
 __all__ = [
     "GroupPartition",
@@ -141,6 +142,7 @@ class PcCurve:
     entries: tuple[PcEntry, ...]
     confidence_set: frozenset[int] = field(init=False)
     r_hat: int = field(init=False)
+    dips: tuple[int, ...] = field(init=False)  # each r with p_r < p_{r-1}
     nondecreasing: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -152,10 +154,9 @@ class PcCurve:
         )
         object.__setattr__(self, "confidence_set", rejected)
         object.__setattr__(self, "r_hat", max(rejected) if rejected else 0)
-        logs = [e.p.log_value for e in self.entries]
-        object.__setattr__(
-            self, "nondecreasing", all(a <= b for a, b in zip(logs, logs[1:]))
-        )
+        dips = tuple(b.r for a, b in zip(self.entries, self.entries[1:]) if b.p < a.p)
+        object.__setattr__(self, "dips", dips)
+        object.__setattr__(self, "nondecreasing", not dips)
 
 
 def _check_r(n: int, r: int) -> None:
@@ -234,7 +235,8 @@ def _screen(n: int, size: int, kernel: RowKernel) -> Iterator[tuple[int, ...]]:
 
     The kernel scores ``_CHUNK_ROWS`` index rows at a time; the index
     matrix is never built.  When M = -inf the first non-NaN subset
-    stands for all of them (see ``gbhpc_enumerate``).
+    stands for all of them (see ``gbhpc_enumerate``).  The second pass
+    over the subsets stops at the last one kept.
     """
     subsets = combinations(range(n), size)
     approx = np.empty(math.comb(n, size))
@@ -248,7 +250,8 @@ def _screen(n: int, size: int, kernel: RowKernel) -> Iterator[tuple[int, ...]]:
         keep[keep.argmin()] = True  # the first non-NaN subset, if any
     else:
         keep = _needs_rescore(approx, [top])
-    return compress(combinations(range(n), size), keep)
+    last = np.flatnonzero(keep)[-1]
+    return compress(combinations(range(n), size), keep[: last + 1])
 
 
 def gbhpc_enumerate(
@@ -323,10 +326,10 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
     """Factory for the weighted z-rule with weights bound to studies:
     subset u is combined with the weights ``weights[i]`` for i in u.
 
-    The array form computes z_i = -Phi^{-1}(p_i) once per study with
-    the scalar ``std_normal_quantile``, and z_i = NaN for a p of 0 or 1,
-    so every subset holding one is rescored and the scalar rule raises
-    on it as it always has.
+    The array form computes z_i = Phi^{-1}(1 - p_i) once per study with
+    ``combiners._upper_z_rows``, NaN for a p of 0 or 1 (or within 1e-6
+    of 1), so every subset holding one is rescored and the scalar rule
+    raises on it as it always has.
     """
     weights = tuple(float(w) for w in weights)
     _check_weights(weights)
@@ -337,8 +340,7 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
         return lambda p_u: combine_stouffer_weighted(p_u, w_u)
 
     def bind(ps: Sequence[ProbValue]) -> RowKernel:
-        z = np.array([math.nan if p.is_zero or p.is_one else -std_normal_quantile(p)
-                      for p in ps])
+        z = _upper_z_rows(np.array([p.log_value for p in ps]))
         return lambda idx: log_stouffer_rows(z[idx], w[idx])
 
     return _ArrayFactory(factory, bind)

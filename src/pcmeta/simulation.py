@@ -65,10 +65,6 @@ class SimConfig:
     sample_sizes: tuple[int, ...] = (100, 100, 100, 500, 500, 500, 1000, 1000)
     alpha: float = 0.05
     methods: tuple[str, ...] = METHOD_NAMES
-    # Optional fixed identity of the non-null studies; by default the
-    # subset is re-randomized each replicate so power marginalizes over
-    # the assignment.
-    nonnull_indices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("r0", "n", "r"):
@@ -96,12 +92,6 @@ class SimConfig:
             raise InputValidationError(f"unknown methods: {sorted(unknown)}")
         if "stouffer_gbhpc" in self.methods:
             _check_budget(self.n, self.r)  # one z-compare per subset and replicate
-        if self.nonnull_indices is not None:
-            idx = tuple(self.nonnull_indices)
-            if len(idx) != self.r0 or len(set(idx)) != len(idx):
-                raise InputValidationError("nonnull_indices must be r0 distinct indices")
-            if any(i < 0 or i >= self.n for i in idx):
-                raise InputValidationError("nonnull_indices out of range")
 
     @property
     def gamma_shape(self) -> float:
@@ -132,13 +122,11 @@ class PowerGrid:
 
 def _draw_log_pvalues(cfg: SimConfig, rng: np.random.Generator, reps: int) -> np.ndarray:
     """(reps, n) matrix of log two-sided p-values under cfg."""
+    # The r0 studies with the smallest uniform keys are non-null, drawn
+    # afresh each replicate so power marginalizes over the assignment.
     mask = np.zeros((reps, cfg.n), dtype=bool)
-    if cfg.nonnull_indices is not None:
-        mask[:, list(cfg.nonnull_indices)] = True
-    else:
-        # The r0 studies with the smallest uniform keys are non-null.
-        order = rng.random((reps, cfg.n)).argsort(axis=1)
-        np.put_along_axis(mask, order[:, : cfg.r0], True, axis=1)
+    order = rng.random((reps, cfg.n)).argsort(axis=1)
+    np.put_along_axis(mask, order[:, : cfg.r0], True, axis=1)
     effects = rng.gamma(cfg.gamma_shape, cfg.gamma_scale, size=(reps, cfg.n))
     mu = np.where(mask, effects, 0.0)
     z = rng.standard_normal((reps, cfg.n)) + np.sqrt(np.array(cfg.sample_sizes)) * mu

@@ -11,6 +11,7 @@ from _golden import CASE_A, CASE_B, TABLE_1A
 from pcmeta.combiners import (
     CombinerSpec,
     _needs_rescore,
+    _upper_z_rows,
     CountTable2x2,
     combine,
     combine_bonferroni,
@@ -416,6 +417,30 @@ class TestRowsFor:
         rows = rows_for(CombinerSpec("stouffer_weighted", weights=(1.0, 2.0)))
         with pytest.raises(InputValidationError, match="2 weights for 3 p-values"):
             rows(_log_rows((0.1, 0.2, 0.3)))
+
+
+class TestUpperZRows:
+    def test_matches_scalar_quantile_on_both_branches(self):
+        # Both sides of the 1e-15 switch between ndtri and ndtri_exp, and
+        # log p below the smallest double, where only ndtri_exp works.
+        ps = [1e-300, 1e-100, 1e-16, 9.99e-16, 1e-15, 1.01e-15, 1e-14, 1e-8,
+              0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 2e-6]
+        log_p = np.concatenate([np.log(ps), [-1e3, -1e5]])
+        got = _upper_z_rows(log_p)
+        for lp, z in zip(log_p.tolist(), got.tolist()):
+            want = -std_normal_quantile(ProbValue.from_log(lp))
+            assert z == want or math.isclose(z, want, rel_tol=1e-12), (lp, z, want)
+
+    def test_two_dimensional_input(self):
+        log_p = np.log(np.array([[1e-20, 0.2], [0.7, 1e-5]]))
+        assert np.array_equal(_upper_z_rows(log_p).ravel(), _upper_z_rows(log_p.ravel()))
+
+    def test_nan_at_zero_one_and_near_one(self):
+        log_p = np.array([-math.inf, 0.0, math.log1p(-1e-7), -1e-12, -5e-324,
+                          math.log1p(-2e-6)])
+        got = _upper_z_rows(log_p)
+        assert np.isnan(got[:5]).all()
+        assert math.isfinite(got[5])
 
 
 class TestNeedsRescore:

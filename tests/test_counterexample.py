@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pcmeta import counterexample
 from pcmeta.counterexample import (
     TEST_NAMES,
     phi,
@@ -207,6 +208,26 @@ class TestPowerGrids:
     def test_bad_test_lists_raise(self, tests):
         with pytest.raises(InputValidationError):
             power_grids_2d(tests, self.MU, 0.1, 10**4, 0)
+
+    @pytest.mark.parametrize("mu_grid, alpha, name", [
+        (["a"], 0.1, "mu_grid"), ([0.0, None], 0.1, "mu_grid"), ("0.0", 0.1, "mu_grid"),
+        ([True], 0.1, "mu_grid"), ([0.0], "0.1", "alpha"), ([0.0], None, "alpha"),
+        ([0.0], True, "alpha"),
+    ])
+    def test_non_numeric_means_and_alpha_raise(self, monkeypatch, mu_grid, alpha, name):
+        # Checked before any region is built or any draw is made.
+        def no_regions(*_):
+            raise AssertionError("built a region before validating")
+
+        for test in TEST_NAMES:
+            monkeypatch.setitem(counterexample._REGIONS, test, no_regions)
+        monkeypatch.setattr(np.random, "default_rng", no_regions)
+        with pytest.raises(InputValidationError, match=name):
+            power_grid_2d("phi", mu_grid, alpha, 10**4, 0)
+
+    def test_numpy_means_and_alpha_pass(self):
+        grid = power_grid_2d("phi", np.array([0.0, 1.5]), np.float64(0.1), 10**4, 4)
+        assert grid == power_grid_2d("phi", [0.0, 1.5], 0.1, 10**4, 4)
 
     def test_every_region_is_built_before_the_first_draw(self, monkeypatch):
         def no_draws(*_):

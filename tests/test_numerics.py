@@ -308,3 +308,24 @@ class TestLogSumExp:
         assert math.isclose(
             log_sum_exp(vals), float(sps.logsumexp(vals)), rel_tol=1e-12, abs_tol=1e-12
         )
+
+    @given(st.lists(st.lists(st.floats(min_value=-700, max_value=0) | st.just(-math.inf),
+                             min_size=3, max_size=3), min_size=1, max_size=6))
+    def test_rows_against_scalar(self, rows):
+        # The row form agrees with log_sum_exp on every row that holds a
+        # finite term; -inf terms add nothing.
+        got = numerics._log_sum_exp_rows(np.array(rows))
+        for row, value in zip(rows, got.tolist()):
+            want = log_sum_exp(row)
+            if want == -math.inf:
+                continue
+            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_rows_tied_top_and_nan(self):
+        got = numerics._log_sum_exp_rows(
+            np.array([[-1.0, -1.0, -1.0], [0.0, -math.inf, 0.0], [math.nan, 0.0, -1.0],
+                      [-math.inf] * 3])
+        )
+        assert got[0] == pytest.approx(-1.0 + math.log(3.0), rel=1e-15)
+        assert got[1] == pytest.approx(math.log(2.0), rel=1e-15)
+        assert np.isnan(got[2:]).all()

@@ -96,15 +96,15 @@ class TestMcValidity:
     @pytest.mark.parametrize("z_means", [None, (3.0, 0.0, -1.5)])
     @pytest.mark.parametrize("reps", [10**4, 10**4 + 7, 25_000])
     def test_chunked_draw_equals_one_shot(self, z_means, reps):
-        # mc_validity draws _CHUNK_ROWS rows per pass from one generator;
-        # that must be the stream of one (reps, n) draw, last chunk short.
+        # Both oracles read _null_chunks, _CHUNK_ROWS rows per pass from one
+        # generator; that must be the clipped stream of one (reps, n) draw,
+        # last chunk short.
         config = NullConfig(3, z_means=z_means)
         one_shot = oracle._draw_log_p(config, np.random.default_rng([4]), reps)
-        rng = np.random.default_rng([4])
-        chunks = [oracle._draw_log_p(config, rng, min(oracle._CHUNK_ROWS, reps - start))
-                  for start in range(0, reps, oracle._CHUNK_ROWS)]
+        chunks = list(oracle._null_chunks(config, reps, 4))
         assert reps % oracle._CHUNK_ROWS != 0
-        assert np.array_equal(np.concatenate(chunks), one_shot)
+        assert [len(c) for c in chunks[:-1]] == [oracle._CHUNK_ROWS] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), np.minimum(0.0, one_shot))
 
     @pytest.mark.parametrize("z_means", [None, (2.0, 0.0, 0.0)])
     def test_counts_equal_one_shot_reference(self, z_means):
@@ -211,6 +211,19 @@ class TestTpmMcCdf:
         a = tpm_mc_cdf(3, 0.2, 1e-3, reps=10**6, seed=6)
         b = tpm_mc_cdf(3, 0.2, 1e-3, reps=10**6, seed=6)
         assert a == b
+
+    @pytest.mark.parametrize("args, want", [
+        ((3, 0.2, 1e-3, 10**6, 6), (0.018299, 0.00013403039431039514)),
+        ((5, 0.5, 0.01, 10**6, 5001), (0.394023, 0.0004886398218227818)),
+        ((10, 1.0, 1e-6, 10**6, 5002), (0.118658, 0.00032338565063403784)),
+        ((4, 0.05, 1e-4, 10**6, 7), (0.003154, 5.607184930069634e-05)),
+        ((1, 0.3, 0.2, 10**6, 8), (0.199377, 0.0003995319910482764)),
+    ])
+    def test_pinned_estimates(self, args, want):
+        # Recorded from the earlier implementation, which drew 2^18 rows
+        # per pass and compared the linear uniforms with gamma: the same
+        # stream and the same counts.
+        assert tpm_mc_cdf(*args) == want
 
     def test_validation(self):
         for L, reps, seed in [(3.0, 10**6, 0), (3, 1e6, 0), (3, 10**6, -1), (0, 10**6, 0),

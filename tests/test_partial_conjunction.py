@@ -386,6 +386,16 @@ class TestArrayPath:
         assert np.isnan(values[holds_edge]).all()
         assert np.isfinite(values[~holds_edge]).all()
 
+    def test_weighted_array_form_near_one_is_rescored(self):
+        # Within 1e-6 of 1 the shared p -> z transform gives NaN, so the
+        # subsets holding such a p are scored by the scalar rule.
+        ps = pv(0.2, 1.0 - 1e-7, 0.05, 1.0 - 1e-12, 0.6)
+        weights = [1.0, 2.0, 0.5, 1.5, 3.0]
+        kernel = weighted_subset_combiner(weights).bind(ps)
+        idx = np.array(list(combinations(range(5), 3)))
+        assert np.isnan(kernel(idx)[np.isin(idx, [1, 3]).any(axis=1)]).all()
+        assert_array_path_exact(ps, weights, names=("stouffer",))
+
     def test_stouffer_raises_at_zero_and_one(self):
         factory = weighted_subset_combiner([1.0, 2.0, 3.0, 4.0])
         for edge in (0.0, 1.0):
@@ -660,7 +670,8 @@ class TestPcCurve:
         curve = pc_curve(bundled_pvalues, 0.05, spec=BONF)
         assert curve.confidence_set == frozenset(range(1, 13))
         assert curve.r_hat == 12
-        assert not curve.nondecreasing  # the r=17 entry dips below r=16
+        assert curve.dips == (17,)  # the r=17 entry dips below r=16
+        assert not curve.nondecreasing
         logs = [e.p.log_value for e in curve.entries]
         assert logs[16] < logs[15]
 

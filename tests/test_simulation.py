@@ -48,8 +48,6 @@ class TestConfig:
         with pytest.raises(InputValidationError):
             make_cfg(methods=("median",))
         with pytest.raises(InputValidationError):
-            make_cfg(nonnull_indices=(0, 0))
-        with pytest.raises(InputValidationError):
             make_cfg(reps="2000")
         with pytest.raises(InputValidationError):
             make_cfg(n=8.0)
@@ -118,15 +116,6 @@ class TestDraws:
         expected = two_sided_log_p(z)
         got = _draw_log_pvalues(cfg, np.random.default_rng([11, r0]), reps)
         assert np.array_equal(got, expected)
-
-    def test_fixed_nonnull_assignment(self):
-        cfg = make_cfg(r0=2, mu0=5.0, sigma0=0.01, nonnull_indices=(6, 7))
-        rng = np.random.default_rng(6)
-        log_p = _draw_log_pvalues(cfg, rng, 500)
-        # The two designated large-N studies are always tiny.
-        assert float(log_p[:, 6:].max()) < math.log(1e-6)
-        # And with prob ~1 some null study is not tiny in every replicate.
-        assert float(np.median(log_p[:, :6])) > math.log(0.05)
 
 
 class TestVectorScalarAgreement:
