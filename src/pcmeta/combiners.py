@@ -125,6 +125,9 @@ def _require_nonempty(ps: Sequence[ProbValue]) -> None:
         raise InputValidationError("cannot combine an empty p-value vector")
 
 
+_BAD_WEIGHTS = "weights must be finite and strictly positive"
+
+
 def _check_weights(weights: Sequence[float]) -> None:
     """Raise unless the weights are non-empty, finite and positive."""
     if len(weights) > 0:
@@ -133,7 +136,7 @@ def _check_weights(weights: Sequence[float]) -> None:
                 break
         else:
             return
-    raise InputValidationError("weights must be finite and strictly positive")
+    raise InputValidationError(_BAD_WEIGHTS)
 
 
 def log_fisher(log_ps: Sequence[float]) -> float:
@@ -291,20 +294,31 @@ def combine_stouffer_weighted(
     """Weighted z-score rule: 1 - Phi(sum w_i z_i / sqrt(sum w_i^2)).
 
     ``z_i = Phi^{-1}(1 - p_i)``, evaluated through the log form for tiny
-    p, so inputs like 1e-200 keep their full weight.  Raises on p_i of
-    exactly 0 or 1, where the quantile is undefined.
+    p, so inputs like 1e-200 keep their full weight.  One pass over the
+    (w_i, p_i) pairs checks each weight, notes a p_i of exactly 0 or 1
+    (where the quantile is undefined) and collects w_i z_i and w_i^2.  A
+    bad weight raises ``InputValidationError`` as soon as it is seen, so
+    it takes precedence over a p_i in {0, 1}, which raises
+    ``NumericDomainError`` after the pass.
     """
     _require_nonempty(ps)
     if len(weights) != len(ps):
         raise InputValidationError(f"{len(weights)} weights for {len(ps)} p-values")
-    _check_weights(weights)
-    for p in ps:
+    terms: list[float] = []
+    squares: list[float] = []
+    at_edge = False
+    for w, p in zip(weights, ps):
+        if not 0.0 < w < math.inf:
+            raise InputValidationError(_BAD_WEIGHTS)
         log_p = p.log_value
         if log_p == _NEG_INF or log_p == 0.0:
-            raise NumericDomainError("stouffer combination undefined at p in {0, 1}")
-    num = math.fsum([w * -std_normal_quantile(p) for w, p in zip(weights, ps)])
-    denom = math.sqrt(math.fsum([w * w for w in weights]))
-    return std_normal_sf(num / denom)
+            at_edge = True
+        else:
+            terms.append(w * -std_normal_quantile(p))
+        squares.append(w * w)
+    if at_edge:
+        raise NumericDomainError("stouffer combination undefined at p in {0, 1}")
+    return std_normal_sf(math.fsum(terms) / math.sqrt(math.fsum(squares)))
 
 
 def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:

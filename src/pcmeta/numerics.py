@@ -8,11 +8,14 @@ precision.
 
 The normal CDF/quantile pair is backed by scipy's ``log_ndtr`` /
 ``ndtri_exp``, which stay accurate far into the tail (|log p| ~ 1e3 and
-beyond).  The chi-square upper tail for even degrees of freedom and the
-hypergeometric log-PMF are computed here directly: both reduce to finite
-sums of positive terms, which log-sum-exp evaluates without cancellation;
-the chi-square tail's Poisson series also serves the Fisher and TPM rules,
-and its row form their row forms.
+beyond).  The scalar pair calls them (and ``ndtr`` / ``ndtri``) through
+``cython_special``: the same C kernels as the ``scipy.special`` ufuncs,
+returning Python floats without the ufunc dispatch.  The chi-square
+upper tail for even degrees of freedom and the hypergeometric log-PMF
+are computed here directly: both reduce to finite sums of positive
+terms, which log-sum-exp evaluates without cancellation; the chi-square
+tail's Poisson series also serves the Fisher and TPM rules, and its row
+form their row forms.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .errors import NumericDomainError
 
@@ -46,6 +50,12 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 # math.lgamma(j + 1) for j < len, the log factorials of _log_poisson_head;
 # grown on demand.
 _LOG_FACTORIALS: list[float] = []
+# The double specialisations of the scalar normal kernels (ndtr and
+# log_ndtr are fused over double and complex).
+_ndtr = cython_special.ndtr["double"]
+_log_ndtr = cython_special.log_ndtr["double"]
+_ndtri = cython_special.ndtri
+_ndtri_exp = cython_special.ndtri_exp
 
 
 @total_ordering
@@ -175,8 +185,7 @@ def std_normal_sf(x: float) -> ProbValue:
     """
     if math.isnan(x) or math.isinf(x):
         raise NumericDomainError(f"requires finite x, got {x!r}")
-    log_sf = float(special.log_ndtr(-x))
-    return ProbValue(*_canonical_pair(float(special.ndtr(-x)), log_sf))
+    return ProbValue(*_canonical_pair(_ndtr(-x), _log_ndtr(-x)))
 
 
 def std_normal_quantile(p: ProbValue) -> float:
@@ -190,8 +199,8 @@ def std_normal_quantile(p: ProbValue) -> float:
     if log_p == _NEG_INF or log_p == 0.0:
         raise NumericDomainError("quantile undefined at p in {0, 1}")
     if p.linear < 1e-15:
-        return float(special.ndtri_exp(log_p))
-    return float(special.ndtri(p.linear))
+        return _ndtri_exp(log_p)
+    return _ndtri(p.linear)
 
 
 def chisq_sf(x: float, dof: int) -> ProbValue:
@@ -215,8 +224,8 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
 
 
 def _log_poisson_head(x: float, k: int) -> float:
-    """log of sum_{j < k} x^j / j! for x >= 0 (0 at x = 0); the one
-    Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
+    """log of sum_{j < k} x^j / j! for x >= 0 and k >= 1 (0 at x = 0);
+    the one Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
     global _LOG_FACTORIALS
     if x == 0.0:
         return 0.0
@@ -226,7 +235,11 @@ def _log_poisson_head(x: float, k: int) -> float:
         # holds the old table reads a whole one.
         table = _LOG_FACTORIALS = [math.lgamma(j + 1) for j in range(2 * k)]
     log_x = math.log(x)
-    return log_sum_exp([j * log_x - table[j] for j in range(k)])
+    # log_sum_exp inline: every term is finite for finite x > 0, so its
+    # -inf filter would never fire.
+    terms = [j * log_x - table[j] for j in range(k)]
+    top = max(terms)
+    return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
 
 def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:

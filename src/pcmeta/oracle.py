@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -57,6 +57,7 @@ class NullConfig:
         _check_kind("n_studies", self.n_studies, Integral, low=1)
         if self.z_means is None:
             return
+        _check_kind("z_means", self.z_means, Real, listed=True)
         if len(self.z_means) != self.n_studies:
             raise InputValidationError("z_means must have one entry per study")
         if not all(math.isfinite(z) for z in self.z_means):
@@ -125,7 +126,8 @@ def mc_validity(
     """
     _check_kind("reps", reps, Integral, low=10**4)
     _check_kind("seed", seed, Integral, low=0)
-    if len(alpha_list) == 0 or any(not (0.0 < a < 1.0) for a in alpha_list):
+    _check_kind("alphas", alpha_list, Real, listed=True)
+    if any(not (0.0 < a < 1.0) for a in alpha_list):
         raise InputValidationError("alphas must lie in (0, 1)")
     # Looked up per call, so that a wrapper installed on the class is seen.
     from_log = ProbValue.from_log
@@ -162,6 +164,8 @@ def tpm_mc_cdf(
     _check_kind("L", L, Integral, low=1)
     _check_kind("reps", reps, Integral, low=10**6)
     _check_kind("seed", seed, Integral, low=0)
+    _check_kind("gamma", gamma, Real)
+    _check_kind("w", w, Real)
     if not (0.0 < gamma <= 1.0):
         raise InputValidationError(f"gamma must be in (0, 1], got {gamma!r}")
     if not (0.0 <= w <= 1.0):

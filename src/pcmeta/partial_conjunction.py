@@ -428,17 +428,20 @@ def structured_gbhpc(
     for block in groups.blocks:
         desc = sorted([ps[i].log_value for i in block], reverse=True)
         left -= len(block)
-        tops: dict[int, float] = {}  # c -> log Fisher of the c largest
+        # tops[c]: log Fisher of the c largest, computed when first needed.
+        tops: list[float | None] = [None] * (len(block) + 1)
         step: dict[tuple[int, int], float] = {}
         for (kept, used), low in best.items():
             for c in range(max(0, keep - left - kept), min(len(block), keep - kept) + 1):
                 if c == 0:
                     state, value = (kept, used), low
                 else:
-                    if c not in tops:
-                        tops[c] = log_fisher(desc[:c])
-                    state, value = (kept + c, used + 1), min(low, tops[c])
-                if state not in step or value > step[state]:
+                    top = tops[c]
+                    if top is None:
+                        top = tops[c] = log_fisher(desc[:c])
+                    state, value = (kept + c, used + 1), min(low, top)
+                held = step.get(state)
+                if held is None or value > held:
                     step[state] = value
         best = step
     return ProbValue.from_log(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from _golden import CASE_A, CASE_B, TABLE_1A
 from pcmeta.combiners import (
@@ -29,7 +29,7 @@ from pcmeta.combiners import (
     rows_for,
 )
 from pcmeta.errors import InputValidationError, NumericDomainError
-from pcmeta.numerics import ProbValue, chisq_sf, std_normal_quantile
+from pcmeta.numerics import ProbValue, chisq_sf, std_normal_quantile, std_normal_sf
 from pcmeta.oracle import tpm_mc_cdf
 
 
@@ -170,6 +170,41 @@ class TestStouffer:
             combine_stouffer_weighted(pv(0.01, 0.99), [bad, 1.0])
         with pytest.raises(InputValidationError):
             CombinerSpec("stouffer_weighted", weights=(1.0, bad))
+
+    @pytest.mark.parametrize("kind", [list, np.array])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_error_precedes_edge_p(self, kind, bad):
+        # A bad weight is reported even when a p of 0 or 1 comes first.
+        for ps in (pv(0.0, 0.5), pv(1.0, 0.5), pv(0.5, 1.0)):
+            with pytest.raises(InputValidationError, match="weights must be finite"):
+                combine_stouffer_weighted(ps, kind([1.0, bad]))
+            with pytest.raises(NumericDomainError):
+                combine_stouffer_weighted(ps, kind([1.0, 2.0]))
+
+    def test_equals_two_pass_formula(self):
+        # The rule before it became one pass: fsum of w * -z over the
+        # scipy ufuncs, then the normal upper tail.
+        def two_pass(ps, weights):
+            zs = [float(special.ndtri_exp(p.log_value)) if p.linear < 1e-15
+                  else float(special.ndtri(p.linear)) for p in ps]
+            num = math.fsum([w * -z for w, z in zip(weights, zs)])
+            return std_normal_sf(num / math.sqrt(math.fsum([w * w for w in weights])))
+
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            k = int(rng.integers(1, 11))
+            log_p = np.where(rng.random(k) < 0.3, -(10.0 ** rng.uniform(-300, 3, k)),
+                             np.log(rng.random(k)))
+            if rng.random() < 0.1:
+                log_p[:] = log_p[0]
+            ps = [ProbValue.from_log(v) for v in log_p.tolist()]
+            if any(p.is_zero or p.is_one for p in ps):
+                continue
+            weights = rng.uniform(0.1, 5.0, k)
+            weights = weights if rng.random() < 0.5 else weights.tolist()
+            got, want = combine_stouffer_weighted(ps, weights), two_pass(ps, weights)
+            assert (repr(got.linear), repr(got.log_value)) == (
+                repr(want.linear), repr(want.log_value))
 
 
 class TestTpm:

@@ -224,6 +224,46 @@ class TestStdNormalQuantile:
             std_normal_quantile(ProbValue.one())
 
 
+class TestScalarKernelsMatchUfuncs:
+    """The scalar normal pair runs scipy's C kernels without the ufunc
+    layer; its values must be the ufuncs' bit for bit."""
+
+    def test_quantile(self):
+        rng = np.random.default_rng(2024)
+        logs = np.concatenate([
+            np.log(rng.random(2000)),
+            -(10.0 ** rng.uniform(-300, 3, 2000)),
+            math.log(1e-15) + np.linspace(-1e-12, 1e-12, 201),
+        ])
+        branches = set()
+        for log_p in logs.tolist():
+            p = ProbValue.from_log(log_p)
+            if p.is_zero or p.is_one:
+                continue
+            got = std_normal_quantile(p)
+            if p.linear < 1e-15:
+                want = float(sps.ndtri_exp(p.log_value))
+            else:
+                want = float(sps.ndtri(p.linear))
+            branches.add(p.linear < 1e-15)
+            assert type(got) is float and got == want, p
+        assert branches == {True, False}
+
+    def test_sf(self):
+        rng = np.random.default_rng(2025)
+        xs = np.concatenate([
+            rng.uniform(-40.0, 40.0, 4000),
+            rng.uniform(-1e4, 1e4, 500),
+            10.0 ** rng.uniform(1.6, 300, 500) * rng.choice([-1.0, 1.0], 500),
+            [0.0, -0.0, 5e-324, 37.5, 38.5, 1e308, -1e308],
+        ])
+        for x in xs.tolist():
+            got = std_normal_sf(x)
+            want = numerics._canonical_pair(float(sps.ndtr(-x)), float(sps.log_ndtr(-x)))
+            assert (got.linear, got.log_value) == want, x
+            assert type(got.linear) is float and type(got.log_value) is float
+
+
 class TestChisqSf:
     def test_at_zero(self):
         assert chisq_sf(0.0, 6) == ProbValue.one()

@@ -74,6 +74,10 @@ class TestMcValidity:
             mc_validity(rule, NullConfig(1), [1.5], reps=10**4, seed=0)
         with pytest.raises(InputValidationError):
             NullConfig(3, z_means=(1.0,))
+        with pytest.raises(InputValidationError):
+            mc_validity(rule, NullConfig(2), ["0.05"], 10**4, 0)
+        with pytest.raises(InputValidationError):
+            NullConfig(2, z_means=("a", 0.0))
 
     def test_alpha_list_array_list_and_tuple_agree(self):
         rule = _combine_rule(CombinerSpec("fisher"))
@@ -234,6 +238,10 @@ class TestTpmMcCdf:
             tpm_mc_cdf(3, 0.2, 0.5, reps=10**4, seed=0)
         with pytest.raises(InputValidationError):
             tpm_mc_cdf(3, 1.5, 0.5, reps=10**6, seed=0)
+        with pytest.raises(InputValidationError):
+            tpm_mc_cdf(3, "0.2", 0.5, 10**6, 0)
+        with pytest.raises(InputValidationError):
+            tpm_mc_cdf(3, 0.2, None, 10**6, 0)
 
 
 def _spec_rule(spec):
