@@ -32,10 +32,10 @@ from scipy import special
 from .errors import InputValidationError, NumericDomainError, _check_kind
 from .numerics import (
     ProbValue,
+    _hypergeom_log_pmfs,
     _log_poisson_head,
     _log_poisson_head_rows,
     _log_sum_exp_rows,
-    hypergeom_log_pmf,
     log_comb,
     log_sum_exp,
     std_normal_quantile,
@@ -406,6 +406,10 @@ def fisher_exact_2x2(
       floating-point ties);
     * ``"doubling"``: twice the smaller one-sided tail, capped at 1.
 
+    The hypergeometric log-PMF over the whole support comes from one
+    call to ``numerics._hypergeom_log_pmfs``, which checks the margins
+    once and equals ``hypergeom_log_pmf`` at each point bit for bit.
+
     The odds ratio is the sample OR; a zero denominator is reported as
     +inf (or nan for the degenerate 0/0 case) with the p-value still
     computed.
@@ -416,17 +420,16 @@ def fisher_exact_2x2(
     marked = table.events_a + table.events_b
     draws = table.total_a
     k_obs = table.events_a
-    lo = max(0, draws + marked - n_total)
-    hi = min(draws, marked)
-    log_pmfs = {j: hypergeom_log_pmf(j, marked, draws, n_total) for j in range(lo, hi + 1)}
-    log_obs = log_pmfs[k_obs]
+    lo, log_pmfs = _hypergeom_log_pmfs(marked, draws, n_total)
+    obs = k_obs - lo
+    log_obs = log_pmfs[obs]
     if convention == "min_likelihood":
         slack = math.log1p(1e-7)
-        included = [lp for lp in log_pmfs.values() if lp <= log_obs + slack]
+        included = [lp for lp in log_pmfs if lp <= log_obs + slack]
         log_p = log_sum_exp(included)
     else:
-        low = log_sum_exp(lp for j, lp in log_pmfs.items() if j <= k_obs)
-        high = log_sum_exp(lp for j, lp in log_pmfs.items() if j >= k_obs)
+        low = log_sum_exp(log_pmfs[: obs + 1])
+        high = log_sum_exp(log_pmfs[obs:])
         log_p = math.log(2.0) + min(low, high)
     p = ProbValue.from_log(min(0.0, log_p))
     odds_a = _sample_odds(table.events_a, table.total_a)

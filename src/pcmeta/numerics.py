@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 from scipy import special
 from scipy.special import cython_special
 
-from .errors import NumericDomainError
+from .errors import NumericDomainError, _check_kind
 
 __all__ = [
     "ProbValue",
@@ -287,13 +288,42 @@ def hypergeom_log_pmf(k: int, K: int, n: int, N: int) -> float:
     """log PMF of drawing k marked items in n draws from N with K marked.
 
     ``log C(K, k) + log C(N-K, n-k) - log C(N, n)`` with the usual
-    support ``max(0, n+K-N) <= k <= min(n, K)``.
+    support ``max(0, n+K-N) <= k <= min(n, K)``; the one-point case of
+    ``_hypergeom_log_pmfs``.
     """
-    for name, v in (("k", k), ("K", K), ("n", n), ("N", N)):
-        if not isinstance(v, int) or v < 0:
+    return _hypergeom_log_pmfs(K, n, N, k)[1][0]
+
+
+def _hypergeom_log_pmfs(
+    K: int, n: int, N: int, k: int | None = None
+) -> tuple[int, list[float]]:
+    """The first k and the log PMF of ``hypergeom_log_pmf`` at each k of
+    the support in turn, or at ``k`` alone when it is given.
+
+    The arguments are checked once (integers by ``_check_kind``, then
+    ``NumericDomainError`` outside the domain).  lgamma(K+1),
+    lgamma(N-K+1) and log C(N, n) are computed once; every other term,
+    and the order of the operations, is ``log_comb``'s, so each value
+    equals the per-point formula bit for bit.
+    """
+    named = (("K", K), ("n", n), ("N", N))
+    for name, v in named if k is None else (("k", k), *named):
+        _check_kind(name, v, Integral)
+        if v < 0:
             raise NumericDomainError(f"{name} must be a nonnegative integer, got {v!r}")
+    K, n, N = int(K), int(n), int(N)
     if K > N or n > N:
         raise NumericDomainError(f"need K <= N and n <= N, got K={K}, n={n}, N={N}")
-    if k < max(0, n + K - N) or k > min(n, K):
-        raise NumericDomainError(f"k={k} outside support for K={K}, n={n}, N={N}")
-    return log_comb(K, k) + log_comb(N - K, n - k) - log_comb(N, n)
+    lo, hi = max(0, n + K - N), min(n, K)
+    if k is not None:
+        if k < lo or k > hi:
+            raise NumericDomainError(f"k={k} outside support for K={K}, n={n}, N={N}")
+        lo = hi = int(k)
+    lgamma = math.lgamma
+    marked, unmarked, whole = lgamma(K + 1), lgamma(N - K + 1), log_comb(N, n)
+    return lo, [
+        ((marked - lgamma(j + 1) - lgamma(K - j + 1))
+         + (unmarked - lgamma(n - j + 1) - lgamma(N - K - (n - j) + 1)))
+        - whole
+        for j in range(lo, hi + 1)
+    ]

@@ -14,7 +14,9 @@ constructions are implemented:
   ``weighted_subset_combiner`` also carry an array form, which scores
   every subset; the scalar rule rescores only those that
   ``combiners._needs_rescore`` selects, so the result stays exact.
-  Other factories run the scalar loop.
+  Both passes get their index rows from one numpy unranker (rank ->
+  subset in ``itertools.combinations`` order), a batch at a time.
+  Other factories run the scalar loop over ``itertools.combinations``.
 
 Monte Carlo studies use the row forms ``bhpc_rows`` and
 ``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice
+from itertools import combinations
 from numbers import Integral
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
@@ -90,6 +92,9 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 # Entries per structured_subset_combiner memo: enough for every member
 # set of every block when n <= 14; a few MB at most.
 _BLOCK_FISHER_CACHE_SIZE = 1 << 14
+# Indices per batch of unranked subsets (256 kB of intp): several kernel
+# chunks for small subsets, one chunk from 32 studies per subset up.
+_BATCH_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -229,29 +234,84 @@ class _ArrayFactory:
         return self._scalar(u)
 
 
+def _unrank_directly(n: int, size: int) -> bool:
+    """Whether ``_unranker`` unranks the subsets themselves rather than
+    their complements.  On batches of 1,024 to 3,072 rows at n = 18, 24
+    and 40 (numpy 2.4, x86-64), unranking the subsets was faster up to
+    size = 2 (n - size) and the complement plus its mask beyond."""
+    return 2 * (n - size) >= size
+
+
+def _unranker(n: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Map ranks to the subsets of range(n) of ``size`` elements, in
+    ``itertools.combinations`` order: one ascending ``intp`` row per rank.
+
+    A k-subset c_0 < .. < c_{k-1} has lex rank C(n, k) - 1 - m with
+    m = sum_j C(n-1-c_j, k-j), so level j takes the largest
+    C(n-1-c_j, k-j) not above what is left of m: one ``searchsorted``
+    per level for all ranks at once.  A level's table holds only the
+    values c_j >= j can reach, every one at most C(n, k), so int64 never
+    overflows.  The cost grows with the number of levels, so when
+    ``_unrank_directly`` says no, the complement is unranked instead
+    (its lex rank reverses the subset's, so m = rank) and each row is
+    what its mask leaves.
+    """
+    direct = _unrank_directly(n, size)
+    k = size if direct else n - size
+    levels = []
+    for j, i in enumerate(range(k, 0, -1)):
+        reachable = range(i - 1, n - k + i)  # b = n-1-c_j for c_j = n-k+j .. j
+        table = np.array([math.comb(b, i) for b in reachable], dtype=np.int64)
+        levels.append((table, table[1:], n - k + j))
+    top = math.comb(n, size) - 1
+
+    def unrank(ranks: np.ndarray) -> np.ndarray:
+        m = top - ranks if direct else np.array(ranks, dtype=np.int64)
+        cols = np.empty((len(m), k), dtype=np.intp)
+        for j, (table, above_zero, first) in enumerate(levels):
+            pos = above_zero.searchsorted(m, side="right")
+            m -= table[pos]
+            np.subtract(first, pos, out=cols[:, j])
+        if direct:
+            return cols
+        offsets = np.arange(0, len(m) * n, n)[:, None]
+        mask = np.ones(len(m) * n, dtype=bool)
+        mask[cols + offsets] = False
+        rows = np.flatnonzero(mask).reshape(-1, size)
+        rows -= offsets
+        return rows
+
+    return unrank
+
+
 def _screen(n: int, size: int, kernel: RowKernel) -> Iterator[tuple[int, ...]]:
-    """The subsets of size ``size``, in enumeration order, that
+    """Yield the subsets of size ``size``, in enumeration order, that
     ``_needs_rescore`` selects with the approximate maximum M as target.
 
-    The kernel scores ``_CHUNK_ROWS`` index rows at a time; the index
-    matrix is never built.  When M = -inf the first non-NaN subset
-    stands for all of them (see ``gbhpc_enumerate``).  The second pass
-    over the subsets stops at the last one kept.
+    Both passes take their subsets from one ``_unranker``, a batch of
+    whole ``_CHUNK_ROWS`` chunks at a time (about ``_BATCH_ENTRIES``
+    indices, one chunk for large subsets), so the index matrix of all
+    subsets is never built.  The first pass unranks consecutive ranks
+    and calls the kernel on each chunk of the batch.  When M = -inf the
+    first non-NaN subset stands for all of them (see
+    ``gbhpc_enumerate``).  The second pass unranks only the kept ranks.
     """
-    subsets = combinations(range(n), size)
+    unrank = _unranker(n, size)
+    batch = _CHUNK_ROWS * max(1, _BATCH_ENTRIES // (_CHUNK_ROWS * size))
     approx = np.empty(math.comb(n, size))
-    for start in range(0, len(approx), _CHUNK_ROWS):
-        flat = chain.from_iterable(islice(subsets, _CHUNK_ROWS))
-        rows = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
-        approx[start : start + len(rows)] = kernel(rows)
+    for start in range(0, len(approx), batch):
+        rows = unrank(np.arange(start, min(start + batch, len(approx))))
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            approx[start + i : start + i + _CHUNK_ROWS] = kernel(rows[i : i + _CHUNK_ROWS])
     top = np.fmax.reduce(approx, initial=-math.inf)  # NaN-ignoring max
     if top == -math.inf:
         keep = np.isnan(approx)
         keep[keep.argmin()] = True  # the first non-NaN subset, if any
     else:
         keep = _needs_rescore(approx, [top])
-    last = np.flatnonzero(keep)[-1]
-    return compress(combinations(range(n), size), keep[: last + 1])
+    kept = np.flatnonzero(keep)
+    for start in range(0, len(kept), batch):
+        yield from map(tuple, unrank(kept[start : start + batch]).tolist())
 
 
 def gbhpc_enumerate(
@@ -272,10 +332,12 @@ def gbhpc_enumerate(
     With a factory from ``fixed_subset_combiner`` (any symmetric rule,
     TPM included) or ``weighted_subset_combiner``, an array kernel first
     writes an approximate log value per subset into one float array
-    (C(n, r-1) floats, at most 8 MB within the default budget).  The
-    scalar rule then scores, in enumeration order with the same strict
-    ``>``, only the subsets ``_needs_rescore`` keeps with the maximum M
-    of the non-NaN values as target: NaN ones and those within
+    (C(n, r-1) floats, at most 8 MB within the default budget), scoring
+    index rows that ``_unranker`` builds from consecutive ranks a batch
+    at a time.  The scalar rule then scores, in enumeration order with
+    the same strict ``>``, only the subsets ``_needs_rescore`` keeps
+    (unranked again from their ranks) with the maximum M of the non-NaN
+    values as target: NaN ones and those within
     tol = 1e-9 * (1 + |M|) of M.  A kernel's numbers agree with the
     scalar rule to far less than tol / 2, so every subset attaining the
     exact maximum is rescored and the first of them is the one the full

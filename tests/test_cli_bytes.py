@@ -1,4 +1,4 @@
-"""CLI output bytes at fixed seeds: 37 commands against recorded digests.
+"""CLI output bytes at fixed seeds: 40 commands against recorded digests.
 
 Each command runs in process through ``pcmeta.cli.main`` in a fresh
 working directory that holds the input files.  The sha256 digest of
@@ -70,6 +70,10 @@ COMMANDS = {
                                 "0,0,3,5", "--pc-r", "3", "--reps", "10000", "--seed",
                                 "4", "--json"],
     "exact2x2": ["exact2x2", "counts.csv"],
+    "exact2x2_doubling_json": ["exact2x2", "counts.csv", "--convention", "doubling",
+                               "--json"],
+    "pc_enum_r9_json": ["pc", "noac.csv", "--enumerate", "--r", "9", "--json"],
+    "pc_enum_bonferroni": ["pc", "noac.csv", "--enumerate", "--method", "bonferroni"],
     "combine_stouffer_json": ["combine", "noac.csv", "--method", "stouffer",
                               "--weights-from", "n_sample", "--json"],
     "simulate": ["simulate", "sim.json", "--out", "sim.csv"],
@@ -82,6 +86,7 @@ EXPECTED = {
     "combine_stouffer_json": (0, "7d96551d276e104ca419f00a9e5dcc9c8c195c29da2562e684048a4ebdc3dcbd"),
     "counterexample": (0, "0007309b6645269b2724e8baa1ac90bf530af226d5bf6b3dea82323d4648a48d"),
     "exact2x2": (0, "05d3a8a58e53e79d149bbab6f4ba4517bd2e55b3fd8be89335cb50bc85e95c44"),
+    "exact2x2_doubling_json": (0, "a07211d9f9b0201741e1f4f13d7f4c7b042aa955d91a9d2ba79314193e04ba5c"),
     "oracle_bonferroni_k10": (0, "54ac84a3abe3f28f58a7bbc782ae379bc8e8a4876653927581d35e4af577e2c9"),
     "oracle_bonferroni_k2": (0, "3306fa6dee9e1ae075d42df0bedc0c763083ac795d06aa5985b53b9e5968e2bb"),
     "oracle_bonferroni_k5": (0, "5b4c164ceea2e2aed025168df30e3e40961c1eabbd2d37e0aac64a1c0b77a033"),
@@ -101,8 +106,10 @@ EXPECTED = {
     "oracle_tpm_k5": (0, "ca3856aec4678443d1aed1dc89d2be4068e2829a447bd65a96d3925ea9526853"),
     "pc_bonferroni": (0, "61868dc5421f52d8449e5f4facd3f02c8dbaa3a85ed4dfed32ec1a674e3c8d83"),
     "pc_csv": (0, "cbcd616bf68f7b3dcbadb7e7f83c746cf710bf1d62fc6260a9b2d97574754335"),
+    "pc_enum_bonferroni": (0, "49a93f92ce50b2d25ee3a964b37395830bafb2aec46b410fd8ba5098e0f57ef8"),
     "pc_enum_fisher": (0, "6d333f8785168989ad28ac394fb1c0f7c656510bbffde2da17dda489aa08abec"),
     "pc_enum_simes": (0, "47e6dbb3a19028267ac65c8f25fb7471b242a25b7b94f7964751d22ddad756c7"),
+    "pc_enum_r9_json": (0, "4985d27dff0f63a1d4647bf320e1e6eb9c7911ca5686f918f83fce173b1190d7"),
     "pc_enum_tpm": (0, "d5f4f7a491a750520af75f2c63f9bec50508fb47d193941b6730f5b7231ba89e"),
     "pc_fisher": (0, "5d51ffa73a68c548a1d3a83ef2a84f2ea1d8342e6cf981e81ee8ba44548d7acc"),
     "pc_groups": (0, "3588dafc79cdc5b930ae2bf5e1af093449341a12214a57f1e38d13a5de0e9d1c"),
@@ -139,7 +146,7 @@ def run_command(argv, directory: Path, read_output) -> tuple[int, str]:
 
 
 def test_suite_size():
-    assert len(COMMANDS) == 37
+    assert len(COMMANDS) == 40
     assert set(EXPECTED) == set(COMMANDS)
 
 

@@ -29,7 +29,14 @@ from pcmeta.combiners import (
     rows_for,
 )
 from pcmeta.errors import InputValidationError, NumericDomainError
-from pcmeta.numerics import ProbValue, chisq_sf, std_normal_quantile, std_normal_sf
+from pcmeta.numerics import (
+    ProbValue,
+    chisq_sf,
+    hypergeom_log_pmf,
+    log_sum_exp,
+    std_normal_quantile,
+    std_normal_sf,
+)
 from pcmeta.oracle import tpm_mc_cdf
 
 
@@ -496,7 +503,36 @@ class TestNeedsRescore:
         assert _needs_rescore(values, targets).tolist() == [True, True, False, False, False]
 
 
+def per_point_exact_log_p(table, convention):
+    """The exact test's log p from one ``hypergeom_log_pmf`` call per
+    support point: the reference for the one-pass support loop."""
+    N, K, n = table.total_a + table.total_b, table.events_a + table.events_b, table.total_a
+    k = table.events_a
+    pmfs = {j: hypergeom_log_pmf(j, K, n, N) for j in range(max(0, n + K - N), min(n, K) + 1)}
+    if convention == "min_likelihood":
+        log_p = log_sum_exp([lp for lp in pmfs.values() if lp <= pmfs[k] + math.log1p(1e-7)])
+    else:
+        low = log_sum_exp(lp for j, lp in pmfs.items() if j <= k)
+        high = log_sum_exp(lp for j, lp in pmfs.items() if j >= k)
+        log_p = math.log(2.0) + min(low, high)
+    return ProbValue.from_log(min(0.0, log_p)).log_value
+
+
+@st.composite
+def count_tables(draw):
+    """Tables with totals of 1, and events of 0 or equal to the totals."""
+    totals = [draw(st.one_of(st.just(1), st.integers(1, 2000))) for _ in range(2)]
+    events = [draw(st.one_of(st.just(0), st.just(t), st.integers(0, t))) for t in totals]
+    return CountTable2x2(events[0], totals[0], events[1], totals[1])
+
+
 class TestFisherExact:
+    @settings(max_examples=300)
+    @given(count_tables(), st.sampled_from(["min_likelihood", "doubling"]))
+    def test_equals_per_point_reference(self, table, convention):
+        got = fisher_exact_2x2(table, convention)
+        assert got.p_value.log_value == per_point_exact_log_p(table, convention)
+
     def test_published_age_le75(self):
         orr, p = fisher_exact_2x2(CountTable2x2(496, 18073, 578, 18004))
         assert math.isclose(orr, 0.85, rel_tol=1e-2)

@@ -12,11 +12,12 @@ from hypothesis import given, strategies as st
 from scipy import special as sps
 
 from pcmeta import numerics
-from pcmeta.errors import NumericDomainError
+from pcmeta.errors import InputValidationError, NumericDomainError
 from pcmeta.numerics import (
     ProbValue,
     chisq_sf,
     hypergeom_log_pmf,
+    log_comb,
     log_sum_exp,
     std_normal_quantile,
     std_normal_sf,
@@ -331,6 +332,33 @@ class TestHypergeom:
             hypergeom_log_pmf(6, 5, 10, 20)
         with pytest.raises(NumericDomainError):
             hypergeom_log_pmf(0, 10, 10, 15)  # lower bound is 5
+        with pytest.raises(NumericDomainError, match="k must be a nonnegative integer"):
+            hypergeom_log_pmf(-1, 10, 10, 15)
+
+    @given(st.integers(1, 3000).flatmap(
+        lambda N: st.tuples(st.integers(0, N), st.integers(0, N), st.just(N))))
+    def test_support_equals_per_point_formula(self, triple):
+        K, n, N = triple
+        lo, values = numerics._hypergeom_log_pmfs(K, n, N)
+        assert lo == max(0, n + K - N) and len(values) == min(n, K) - lo + 1
+        for k, value in enumerate(values, lo):
+            per_point = log_comb(K, k) + log_comb(N - K, n - k) - log_comb(N, n)
+            assert value == per_point == hypergeom_log_pmf(k, K, n, N)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [True, False, 2.0, np.float64(2.0), "2"])
+    def test_integer_rule(self, position, bad):
+        args = [1, 3, 2, 5]
+        args[position] = bad
+        with pytest.raises(InputValidationError, match="is not an integer"):
+            hypergeom_log_pmf(*args)
+
+    def test_numpy_integers(self):
+        got = hypergeom_log_pmf(np.int64(1), np.int32(3), np.uint8(2), np.int16(5))
+        assert type(got) is float and got == hypergeom_log_pmf(1, 3, 2, 5)
+        # uint8 arithmetic would wrap at n + K - N < 0.
+        assert hypergeom_log_pmf(np.uint8(0), np.uint8(1), np.uint8(1), np.uint8(5)) == (
+            hypergeom_log_pmf(0, 1, 1, 5))
 
 
 class TestLogSumExp:

@@ -24,12 +24,14 @@ from pcmeta.errors import (
 )
 from pcmeta.io import stouffer_weights_from_records
 from pcmeta.numerics import ProbValue
+from pcmeta import partial_conjunction
 from pcmeta.oracle import NullConfig, mc_validity
 from pcmeta.partial_conjunction import (
     GroupPartition,
     PcCurve,
     PcEntry,
     _ArrayFactory,
+    _unranker,
     bhpc,
     bhpc_rows,
     extract_component,
@@ -433,6 +435,64 @@ class TestArrayPath:
             with pytest.raises(EnumerationBudgetError):
                 gbhpc_enumerate(ps, 15, factory, budget=1000)
         assert calls == []
+
+
+def counted_subset(n, size, rank):
+    """The rank-th subset of range(n) in combinations order, by counting
+    the subsets that start with each smaller element (the reference)."""
+    out, c = [], 0
+    for j in range(size):
+        while rank >= (skipped := math.comb(n - c - 1, size - j - 1)):
+            rank -= skipped
+            c += 1
+        out.append(c)
+        c += 1
+    return out
+
+
+@pytest.fixture(params=[True, False], ids=["direct", "complement"])
+def side(request, monkeypatch):
+    """Unrank on one side for every (n, size), whatever the cost rule says."""
+    monkeypatch.setattr(partial_conjunction, "_unrank_directly", lambda n, size: request.param)
+    return request.param
+
+
+class TestUnranker:
+    def test_combinations_order(self, side):
+        for n in range(1, 13):
+            for size in range(1, n + 1):
+                want = np.array(list(combinations(range(n), size)), dtype=np.intp)
+                got = _unranker(n, size)(np.arange(len(want)))
+                assert got.dtype == np.intp and got.flags.c_contiguous
+                assert np.array_equal(got, want), (n, size)
+
+    @pytest.mark.parametrize("n, size", [(1000, 999), (1000, 1), (70, 69), (60, 3), (24, 7)])
+    def test_random_ranks(self, side, n, size):
+        # Both sides at every shape: a table of C(b, i) over all b would
+        # overflow int64 at n = 70 (C(69, 35) > 2**63).
+        total = math.comb(n, size)
+        rng = np.random.default_rng(n + size)
+        ranks = np.concatenate(([0, total - 1], rng.integers(0, total, 40)))
+        got = _unranker(n, size)(ranks)
+        assert got.tolist() == [counted_subset(n, size, int(k)) for k in ranks]
+
+    def test_cost_rule_picks_the_smaller_side(self):
+        assert partial_conjunction._unrank_directly(18, 9)
+        assert partial_conjunction._unrank_directly(1000, 1)
+        assert not partial_conjunction._unrank_directly(18, 13)
+        assert not partial_conjunction._unrank_directly(70, 69)
+
+    @pytest.mark.parametrize("n, r", [(70, 2), (70, 3), (1000, 2)])
+    def test_large_n_equals_scalar_loop(self, n, r):
+        rng = np.random.default_rng(n * r)
+        values = rng.random(n)
+        values[: n // 4] = values[n // 4]  # ties: many subsets rescored
+        ps = pv(*values)
+        weights = rng.uniform(0.5, 3.0, n)
+        for factory in (fixed_subset_combiner(FISHER), weighted_subset_combiner(weights)):
+            got = gbhpc_enumerate(ps, r, factory)
+            want = scalar_max(ps, r, factory)
+            assert (got.log_value, got.linear) == (want.log_value, want.linear)
 
 
 GROUPED_PS = st.one_of(
