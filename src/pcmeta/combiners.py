@@ -27,7 +27,6 @@ from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import InputValidationError, NumericDomainError, _check_kind
 from .numerics import (
@@ -178,6 +177,8 @@ def log_bonferroni_rows(log_p: np.ndarray) -> np.ndarray:
 def log_stouffer_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise weighted z-rule from (rows, k) arrays of z_i = Phi^{-1}(1 - p_i)
     and of their weights: log(1 - Phi(sum w_i z_i / sqrt(sum w_i^2)))."""
+    from scipy import special
+
     stat = (weights * z).sum(axis=1) / np.sqrt((weights * weights).sum(axis=1))
     return special.log_ndtr(-stat)
 
@@ -217,6 +218,8 @@ def _upper_z_rows(log_p: np.ndarray) -> np.ndarray:
     1, where exp of a tiny log p may round to 1 but ``ProbValue`` nudges
     the linear value below it: the scalar rule scores those.
     """
+    from scipy import special
+
     linear = np.exp(log_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = -np.where(linear < 1e-15, special.ndtri_exp(log_p), special.ndtri(linear))

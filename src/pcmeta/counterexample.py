@@ -34,7 +34,6 @@ from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import InputValidationError, _check_kind
 
@@ -231,6 +230,8 @@ class CounterexamplePowerGrid:
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
     """Linear, not ``exp(two_sided_log_p(z))``: the last bit decides region edges."""
+    from scipy import special
+
     return 2.0 * special.ndtr(-np.abs(z))
 
 

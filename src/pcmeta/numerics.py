@@ -10,12 +10,16 @@ The normal CDF/quantile pair is backed by scipy's ``log_ndtr`` /
 ``ndtri_exp``, which stay accurate far into the tail (|log p| ~ 1e3 and
 beyond).  The scalar pair calls them (and ``ndtr`` / ``ndtri``) through
 ``cython_special``: the same C kernels as the ``scipy.special`` ufuncs,
-returning Python floats without the ufunc dispatch.  The chi-square
-upper tail for even degrees of freedom and the hypergeometric log-PMF
-are computed here directly: both reduce to finite sums of positive
-terms, which log-sum-exp evaluates without cancellation; the chi-square
-tail's Poisson series also serves the Fisher and TPM rules, and its row
-form their row forms.
+returning Python floats without the ufunc dispatch.  Importing this
+module loads no scipy: the scalar pair's four kernels start as stubs
+that bind them to ``cython_special`` on first use, and each array kernel
+imports ``scipy.special`` when it runs.
+
+The chi-square upper tail for even degrees of freedom and the
+hypergeometric log-PMF are computed here directly: both reduce to
+finite sums of positive terms, which log-sum-exp evaluates without
+cancellation; the chi-square tail's Poisson series also serves the
+Fisher and TPM rules, and its row form their row forms.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from numbers import Integral
 from typing import Iterable
 
 import numpy as np
-from scipy import special
-from scipy.special import cython_special
 
 from .errors import NumericDomainError, _check_kind
 
@@ -51,12 +53,32 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 # math.lgamma(j + 1) for j < len, the log factorials of _log_poisson_head;
 # grown on demand.
 _LOG_FACTORIALS: list[float] = []
-# The double specialisations of the scalar normal kernels (ndtr and
-# log_ndtr are fused over double and complex).
-_ndtr = cython_special.ndtr["double"]
-_log_ndtr = cython_special.log_ndtr["double"]
-_ndtri = cython_special.ndtri
-_ndtri_exp = cython_special.ndtri_exp
+
+
+def _first_use(name: str):
+    """A stub for the scalar normal kernel ``name``.  Its first call binds
+    all four kernels to ``cython_special`` in place of the stubs (the
+    double specialisations of ``ndtr`` and ``log_ndtr``, which are fused
+    over double and complex, then ``ndtri`` and ``ndtri_exp``) and
+    forwards the call; later calls never reach a stub."""
+
+    def stub(x: float) -> float:
+        from scipy.special import cython_special
+
+        global _ndtr, _log_ndtr, _ndtri, _ndtri_exp
+        _ndtr = cython_special.ndtr["double"]
+        _log_ndtr = cython_special.log_ndtr["double"]
+        _ndtri = cython_special.ndtri
+        _ndtri_exp = cython_special.ndtri_exp
+        return globals()[name](x)
+
+    return stub
+
+
+_ndtr = _first_use("_ndtr")
+_log_ndtr = _first_use("_log_ndtr")
+_ndtri = _first_use("_ndtri")
+_ndtri_exp = _first_use("_ndtri_exp")
 
 
 @total_ordering
@@ -264,6 +286,8 @@ def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:
 def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
     """``_log_poisson_head(x, k)`` for each x >= 0 of a 1-D array (NaN at
     x = inf), the row form under ``log_fisher_rows`` and ``log_tpm_rows``."""
+    from scipy import special
+
     js = np.arange(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = js * np.log(x)[:, None] - special.gammaln(js + 1)
@@ -274,6 +298,8 @@ def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
 
 def two_sided_log_p(z):
     """log of the two-sided normal p-value 2 * Phi(-|z|), elementwise."""
+    from scipy import special
+
     return _LOG2 + special.log_ndtr(-np.abs(z))
 
 

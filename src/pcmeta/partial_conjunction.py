@@ -44,7 +44,6 @@ from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from .combiners import (
     _CHUNK_ROWS,
@@ -415,6 +414,8 @@ def weighted_gbhpc_rows(log_p: np.ndarray, r: int, weights: Sequence[float]) -> 
     In z-space (one ``ndtri_exp`` per study, one weighted sum per subset,
     one ``log_ndtr`` per row) it costs about half of ``log_stouffer_rows``.
     """
+    from scipy import special
+
     n = log_p.shape[1]
     _check_r(n, r)
     _check_budget(n, r)

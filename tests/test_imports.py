@@ -1,0 +1,174 @@
+"""What importing pcmeta and running its commands loads: scipy.special
+only where a command calls one of its kernels.
+
+Each check runs in a fresh interpreter with ``PYTHONPATH=src``, because
+this process has loaded scipy long before any test runs.
+"""
+
+import ast
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from scipy import special as sps
+
+from pcmeta import cli, numerics
+from pcmeta import io as pio
+from pcmeta.numerics import ProbValue
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SIM_CONFIG = {"mu0_values": [0.3], "sigma0_values": [0.2], "r0": [2], "reps": 1000, "seed": 5}
+
+# Commands that call no scipy kernel on the bundled data.
+NO_SCIPY_COMMANDS = [
+    ["pc", "noac.csv"],
+    ["pc", "noac.csv", "--method", "simes"],
+    ["pc", "noac.csv", "--method", "bonferroni"],
+    ["pc", "noac.csv", "--method", "tpm", "--gamma", "0.2"],
+    ["pc", "noac.csv", "--groups"],
+    ["pc", "noac.csv", "--r", "3"],
+    ["exact2x2", "counts.csv"],
+    ["dataset"],
+]
+# Commands that do: each must load scipy.special on its own.
+SCIPY_COMMANDS = {
+    "pc_stouffer_n": ["pc", "noac.csv", "--method", "stouffer", "--weights-from", "n_sample"],
+    "simulate": ["simulate", "sim.json", "--out", "sim.csv"],
+}
+
+# Runs the commands of argv[1] through cli.main in one fresh process
+# and writes, per command, its exit code and whether scipy.special was
+# loaded once it returned.
+CLI_PROBE = """
+import json, sys
+from pcmeta import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append([code, "scipy.special" in sys.modules])
+with open("probe.json", "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def fresh_python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PCMETA_SEED"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+def write_inputs(directory: Path) -> None:
+    (directory / "noac.csv").write_text(pio.export_bundled_csv("pvalues"))
+    (directory / "counts.csv").write_text(pio.export_bundled_csv("counts"))
+    (directory / "sim.json").write_text(json.dumps(SIM_CONFIG))
+
+
+def probe_commands(commands, directory: Path):
+    """(stdout bytes, [[exit code, scipy.special loaded]] per command)."""
+    write_inputs(directory)
+    proc = fresh_python(CLI_PROBE, json.dumps(commands), cwd=directory)
+    return proc.stdout, json.loads((directory / "probe.json").read_text())
+
+
+def test_import_cli_loads_no_scipy_special(tmp_path):
+    fresh_python("import sys, pcmeta.cli\nassert 'scipy.special' not in sys.modules, "
+                 "sorted(m for m in sys.modules if m.startswith('scipy'))", cwd=tmp_path)
+
+
+def test_commands_without_scipy_kernels_load_none(tmp_path):
+    _, report = probe_commands(NO_SCIPY_COMMANDS, tmp_path)
+    assert report == [[0, False]] * len(NO_SCIPY_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_COMMANDS))
+def test_commands_with_scipy_kernels_load_it_with_same_bytes(
+    name, tmp_path, monkeypatch, capsys
+):
+    argv = SCIPY_COMMANDS[name]
+    fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
+    fresh_dir.mkdir()
+    here_dir.mkdir()
+    fresh_out, report = probe_commands([argv], fresh_dir)
+    assert report == [[0, True]]
+
+    write_inputs(here_dir)
+    monkeypatch.chdir(here_dir)
+    monkeypatch.delenv("PCMETA_SEED", raising=False)
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert fresh_out == capsys.readouterr().out.encode()
+    written = sorted(set(os.listdir(here_dir)) - {"noac.csv", "counts.csv", "sim.json"})
+    for out_name in written:
+        assert (fresh_dir / out_name).read_bytes() == (here_dir / out_name).read_bytes()
+
+
+# The first call of the scalar normal pair in a fresh process goes through
+# a stub: the probe prints that call's value as hex, then checks that the
+# module globals are now the cython_special kernels.
+SCALAR_PROBE = """
+import sys
+from pcmeta import numerics
+from pcmeta.numerics import ProbValue, std_normal_quantile, std_normal_sf
+stubs = (numerics._ndtr, numerics._log_ndtr, numerics._ndtri, numerics._ndtri_exp)
+assert "scipy.special" not in sys.modules
+kind, x = sys.argv[1], float.fromhex(sys.argv[2])
+if kind == "sf":
+    p = std_normal_sf(x)
+    print(p.linear.hex(), p.log_value.hex())
+else:
+    print(std_normal_quantile(ProbValue.from_log(x)).hex())
+from scipy.special import cython_special as cs
+assert numerics._ndtri is cs.ndtri and numerics._ndtri_exp is cs.ndtri_exp
+assert numerics._ndtr is cs.ndtr["double"] and numerics._log_ndtr is cs.log_ndtr["double"]
+assert not set(stubs) & {numerics._ndtr, numerics._log_ndtr, numerics._ndtri,
+                         numerics._ndtri_exp}
+"""
+
+
+@pytest.mark.parametrize("kind, x", [
+    ("quantile", math.log(1e-20)),  # below 1e-15: ndtri_exp
+    ("quantile", math.log(0.3)),  # at or above 1e-15: ndtri
+    ("sf", 2.5),
+])
+def test_first_scalar_call_binds_cython_special(kind, x, tmp_path):
+    out = fresh_python(SCALAR_PROBE, kind, x.hex(), cwd=tmp_path).stdout.decode().split()
+    got = [float.fromhex(v) for v in out]
+    if kind == "sf":
+        want = list(numerics._canonical_pair(float(sps.ndtr(-x)), float(sps.log_ndtr(-x))))
+    else:
+        p = ProbValue.from_log(x)
+        want = [float(sps.ndtri_exp(x) if p.linear < 1e-15 else sps.ndtri(p.linear))]
+    assert got == want
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """Modules a file imports outside function bodies, i.e. at import time."""
+    names = set()
+    stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_at_top_level():
+    modules = sorted((SRC / "pcmeta").glob("*.py"))
+    assert {"numerics.py", "combiners.py", "cli.py"} <= {p.name for p in modules}
+    assert "numpy" in top_level_imports(SRC / "pcmeta" / "numerics.py")
+    for path in modules:
+        scipy = {m for m in top_level_imports(path) if m.split(".")[0] == "scipy"}
+        assert not scipy, (path.name, scipy)
+

@@ -774,3 +774,51 @@ class TestPcCurve:
         for e in curve.entries:
             direct = structured_gbhpc(bundled_pvalues, e.r, bundled_groups)
             assert e.p.log_value == direct.log_value
+
+
+@st.composite
+def one_p_lowered(draw, values=GROUPED_PS, factors=st.floats(0.0, 1.0)):
+    """(ps, the same ps with the p at one index times a factor in [0, 1])."""
+    ps = draw(st.lists(values, min_size=1, max_size=8))
+    lowered = list(ps)
+    lowered[draw(st.integers(0, len(ps) - 1))] *= draw(factors)
+    return pv(*ps), pv(*lowered)
+
+
+def assert_not_raised(lowered, base):
+    """``lowered`` is at most ``base``, up to 1e-12 relative."""
+    assert lowered.log_value <= base.log_value + 1e-12, (lowered, base)
+
+
+class TestMonotoneInEachP:
+    """Lowering any one p never raises a PC p-value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(one_p_lowered())
+    def test_bhpc(self, case):
+        ps, lowered = case
+        for spec in (FISHER, SIMES, BONF, TPM):
+            for r in range(1, len(ps) + 1):
+                assert_not_raised(bhpc(lowered, r, spec), bhpc(ps, r, spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        one_p_lowered(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+                      st.floats(1e-3, 1.0)),
+        st.randoms(use_true_random=False),
+    )
+    def test_weighted_gbhpc_enumerate(self, case, rnd):
+        ps, lowered = case
+        factory = weighted_subset_combiner([rnd.uniform(0.1, 10.0) for _ in ps])
+        for r in range(1, len(ps) + 1):
+            assert_not_raised(gbhpc_enumerate(lowered, r, factory),
+                              gbhpc_enumerate(ps, r, factory))
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_p_lowered(), st.lists(st.integers(0, 3), min_size=8, max_size=8))
+    def test_structured_gbhpc(self, case, labels):
+        ps, lowered = case
+        groups = GroupPartition.from_labels([str(b) for b in labels[:len(ps)]])
+        for r in range(1, len(ps) + 1):
+            assert_not_raised(structured_gbhpc(lowered, r, groups),
+                              structured_gbhpc(ps, r, groups))
