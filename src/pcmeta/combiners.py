@@ -129,13 +129,8 @@ _BAD_WEIGHTS = "weights must be finite and strictly positive"
 
 def _check_weights(weights: Sequence[float]) -> None:
     """Raise unless the weights are non-empty, finite and positive."""
-    if len(weights) > 0:
-        for w in weights:
-            if not 0.0 < w < math.inf:
-                break
-        else:
-            return
-    raise InputValidationError(_BAD_WEIGHTS)
+    if len(weights) == 0 or not all(0.0 < w < math.inf for w in weights):
+        raise InputValidationError(_BAD_WEIGHTS)
 
 
 def log_fisher(log_ps: Sequence[float]) -> float:
@@ -164,9 +159,14 @@ def log_fisher_rows(log_p: np.ndarray) -> np.ndarray:
 
 def log_simes_rows(log_p: np.ndarray) -> np.ndarray:
     """Row-wise Simes combination of a (rows, k) array of log p-values."""
+    return _log_simes_sorted_rows(np.sort(log_p, axis=1))
+
+
+def _log_simes_sorted_rows(log_p: np.ndarray) -> np.ndarray:
+    """``log_simes_rows`` of rows already sorted in ascending order."""
     k = log_p.shape[1]
     scale = math.log(k) - np.log(np.arange(1, k + 1))
-    return np.minimum(0.0, (np.sort(log_p, axis=1) + scale).min(axis=1))
+    return np.minimum(0.0, (log_p + scale).min(axis=1))
 
 
 def log_bonferroni_rows(log_p: np.ndarray) -> np.ndarray:

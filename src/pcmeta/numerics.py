@@ -12,14 +12,14 @@ beyond).  The scalar pair calls them (and ``ndtr`` / ``ndtri``) through
 ``cython_special``: the same C kernels as the ``scipy.special`` ufuncs,
 returning Python floats without the ufunc dispatch.  Importing this
 module loads no scipy: the scalar pair's four kernels start as stubs
-that bind them to ``cython_special`` on first use, and each array kernel
-imports ``scipy.special`` when it runs.
+that bind them to ``cython_special`` on first use, and each normal array
+kernel imports ``scipy.special`` when it runs.
 
 The chi-square upper tail for even degrees of freedom and the
 hypergeometric log-PMF are computed here directly: both reduce to
 finite sums of positive terms, which log-sum-exp evaluates without
-cancellation; the chi-square tail's Poisson series also serves the
-Fisher and TPM rules, and its row form their row forms.
+cancellation.  The chi-square tail's Poisson series also serves the
+Fisher and TPM rules, and its row form (Horner's rule) their row forms.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ _LOG2 = math.log(2.0)
 # linear value of exactly 0 (and vice versa for 1).
 _TINY_LINEAR = 5e-324
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-# math.lgamma(j + 1) for j < len, the log factorials of _log_poisson_head;
-# grown on demand.
+# math.lgamma(j + 1) for j < len, as a list and an array; see _log_factorials.
 _LOG_FACTORIALS: list[float] = []
+_LOG_FACTORIALS_ARRAY = np.empty(0)
 
 
 def _first_use(name: str):
@@ -249,14 +249,9 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
 def _log_poisson_head(x: float, k: int) -> float:
     """log of sum_{j < k} x^j / j! for x >= 0 and k >= 1 (0 at x = 0);
     the one Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
-    global _LOG_FACTORIALS
     if x == 0.0:
         return 0.0
-    table = _LOG_FACTORIALS
-    if len(table) < k:
-        # Rebound, never extended in place, so a caller that already
-        # holds the old table reads a whole one.
-        table = _LOG_FACTORIALS = [math.lgamma(j + 1) for j in range(2 * k)]
+    table = _LOG_FACTORIALS if len(_LOG_FACTORIALS) >= k else _log_factorials(k)[0]
     log_x = math.log(x)
     # log_sum_exp inline: every term is finite for finite x > 0, so its
     # -inf filter would never fire.
@@ -265,9 +260,19 @@ def _log_poisson_head(x: float, k: int) -> float:
     return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
 
+def _log_factorials(k: int) -> tuple[list[float], np.ndarray]:
+    """The log factorial tables, both regrown to 2k entries if either is
+    under k: rebound, never extended in place, so no reader sees a partial one."""
+    global _LOG_FACTORIALS, _LOG_FACTORIALS_ARRAY
+    if min(len(_LOG_FACTORIALS), len(_LOG_FACTORIALS_ARRAY)) < k:
+        _LOG_FACTORIALS = [math.lgamma(j + 1) for j in range(2 * k)]
+        _LOG_FACTORIALS_ARRAY = np.array(_LOG_FACTORIALS)
+    return _LOG_FACTORIALS, _LOG_FACTORIALS_ARRAY
+
+
 def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:
     """log(sum(exp(t))) of each row of a (rows, k) array, the row
-    log-sum-exp under ``_log_poisson_head_rows`` and ``log_tpm_rows``.
+    log-sum-exp under ``log_tpm_rows`` and ``_log_poisson_head_rows``.
 
     Plain numpy, in the same arithmetic as ``scipy.special.logsumexp``
     (log1p of the terms below the largest) without its temporaries.
@@ -285,15 +290,27 @@ def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:
 
 def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
     """``_log_poisson_head(x, k)`` for each x >= 0 of a 1-D array (NaN at
-    x = inf), the row form under ``log_fisher_rows`` and ``log_tpm_rows``."""
-    from scipy import special
-
-    js = np.arange(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = js * np.log(x)[:, None] - special.gammaln(js + 1)
-    series = _log_sum_exp_rows(terms)
-    series[x == 0.0] = 0.0
-    return series
+    x = inf), the row form under ``log_fisher_rows`` and ``log_tpm_rows``:
+    Horner's rule in linear space, 1 + x (1 + x/2 (... (1 + x/(k-1)))).
+    No intermediate exceeds x e^x, so rows overflow only past x ~ 703;
+    they, x = inf (NaN from the x * 0 start) and arrays of fewer rows than
+    k (where k numpy passes cost more) take the log-space series.
+    """
+    out = np.full(len(x), np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if len(x) >= k:
+            acc = x * 0.0 + 1.0
+            for j in range(k - 1, 0, -1):
+                acc *= x
+                acc *= 1.0 / j
+                acc += 1.0
+            out = np.log(acc)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            x = x[bad]
+            terms = np.arange(k) * np.log(x)[:, None] - _log_factorials(k)[1][:k]
+            out[bad] = np.where(x == 0.0, 0.0, _log_sum_exp_rows(terms))
+    return out
 
 
 def two_sided_log_p(z):

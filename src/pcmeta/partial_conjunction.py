@@ -49,6 +49,7 @@ from .combiners import (
     _CHUNK_ROWS,
     CombinerSpec,
     _check_weights,
+    _log_simes_sorted_rows,
     _needs_rescore,
     _upper_z_rows,
     combine,
@@ -210,7 +211,8 @@ def bhpc_rows(log_p: np.ndarray, r: int, spec: CombinerSpec) -> np.ndarray:
     _check_r(log_p.shape[1], r)
     if not spec.is_symmetric:
         raise InputValidationError(f"{spec.method!r} has no drop-smallest row form")
-    return rows_for(spec)(np.sort(log_p, axis=1)[:, r - 1 :])
+    kept = np.sort(log_p, axis=1)[:, r - 1 :]
+    return (_log_simes_sorted_rows if spec.method == "simes" else rows_for(spec))(kept)
 
 
 class _ArrayFactory:

@@ -31,6 +31,11 @@ NO_SCIPY_COMMANDS = [
     ["pc", "noac.csv", "--method", "tpm", "--gamma", "0.2"],
     ["pc", "noac.csv", "--groups"],
     ["pc", "noac.csv", "--r", "3"],
+    ["pc", "noac.csv", "--enumerate"],
+    ["pc", "noac.csv", "--enumerate", "--method", "tpm", "--gamma", "0.2"],
+    ["oracle", "validity", "--method", "fisher", "--k", "5", "--reps", "10000", "--seed", "1"],
+    ["oracle", "validity", "--method", "tpm", "--gamma", "0.2", "--k", "5", "--reps", "10000",
+     "--seed", "1"],
     ["exact2x2", "counts.csv"],
     ["dataset"],
 ]

@@ -146,6 +146,61 @@ def test_log_poisson_head_table_matches_lgamma(monkeypatch):
             assert numerics._log_poisson_head(x, k) == reference
 
 
+def _assert_rows_match_scalar(x, k, got):
+    for xi, value in zip(x.tolist(), got.tolist()):
+        want = numerics._log_poisson_head(xi, k)
+        assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-12), (xi, k, value, want)
+
+
+class TestLogPoissonHeadRows:
+    """The row form (Horner's rule, with the log-space series for overflow
+    rows, x = inf and arrays of fewer rows than k) against the scalar."""
+
+    @given(st.integers(1, 40), st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=8))
+    def test_against_scalar(self, k, xs):
+        # Tiled to at least k rows so that Horner's rule runs; the short
+        # array takes the series.
+        for x in (np.resize(np.array(xs), max(k, len(xs))), np.array(xs[: k - 1])):
+            _assert_rows_match_scalar(x, k, numerics._log_poisson_head_rows(x, k))
+
+    @pytest.mark.parametrize("k", [1000, 10_000])
+    def test_long_series(self, k):
+        # Most rows below the overflow point, a few past it; the scalar
+        # reference runs on a sample of rows.
+        x = np.concatenate([np.linspace(0.0, 700.0, k - 3), [703.5, 1000.0, 5000.0]])
+        got = numerics._log_poisson_head_rows(x, k)
+        sample = np.r_[0:k:max(1, k // 40), k - 4 : k]
+        _assert_rows_match_scalar(x[sample], k, got[sample])
+        short = x[-3:]
+        _assert_rows_match_scalar(short, k, numerics._log_poisson_head_rows(short, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    @pytest.mark.parametrize("rows", [1, 12])
+    def test_zero_and_inf(self, k, rows):
+        # rows = 1 < k takes the series whenever k > 1; rows = 12 runs Horner.
+        for zero in (0.0, -0.0):
+            got = numerics._log_poisson_head_rows(np.full(rows, zero), k)
+            assert got.tolist() == [0.0] * rows
+        assert np.isnan(numerics._log_poisson_head_rows(np.full(rows, np.inf), k)).all()
+
+    def test_rows_past_overflow(self):
+        # x e^x overflows from x ~ 703; those rows are exact in log space.
+        x = np.array([1.0, 702.0, 703.5, 709.0, 710.0, 1e4, 1e300, 0.0, 5.0, 3.0])
+        for k in (2, 9, 10):
+            got = numerics._log_poisson_head_rows(x, k)
+            _assert_rows_match_scalar(x, k, got)
+        assert np.isfinite(got).all() and got[-3] == 0.0
+
+    def test_fallback_reads_shared_table(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_LOG_FACTORIALS", [])
+        monkeypatch.setattr(numerics, "_LOG_FACTORIALS_ARRAY", np.empty(0))
+        x = np.array([0.5, 800.0, 2.0])
+        _assert_rows_match_scalar(x, 7, numerics._log_poisson_head_rows(x, 7))
+        assert len(numerics._LOG_FACTORIALS) == len(numerics._LOG_FACTORIALS_ARRAY) == 14
+        assert numerics._LOG_FACTORIALS_ARRAY.tolist() == [
+            math.lgamma(j + 1) for j in range(14)]
+
+
 class TestStdNormalSf:
     def test_at_zero(self):
         assert std_normal_sf(0.0).linear == 0.5
