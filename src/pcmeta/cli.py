@@ -16,12 +16,10 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import io as pio
 from .combiners import CombinerSpec, combine, fisher_exact_2x2, rows_for
 from .counterexample import TEST_NAMES, power_grids_2d
-from .errors import InputValidationError, NonConvergenceError, PcmetaError
+from .errors import InputValidationError, NonConvergenceError, PcmetaError, _LazyNumpy
 from .oracle import BatchedRule, NullConfig, mc_validity, tpm_mc_cdf
 from .partial_conjunction import (
     bhpc,
@@ -32,6 +30,8 @@ from .partial_conjunction import (
     weighted_subset_combiner,
 )
 from .simulation import SimConfig, run_power_map
+
+np = _LazyNumpy(globals())
 
 CLI_METHODS = ("fisher", "simes", "bonferroni", "tpm", "stouffer")
 

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import InputValidationError, NumericDomainError, _check_kind
+from .errors import InputValidationError, NumericDomainError, _check_kind, _LazyNumpy
 from .numerics import (
     ProbValue,
     _hypergeom_log_pmfs,
@@ -40,6 +38,8 @@ from .numerics import (
     std_normal_quantile,
     std_normal_sf,
 )
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "CombinerSpec",

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
-import numpy as np
+from .errors import InputValidationError, _check_kind, _LazyNumpy
 
-from .errors import InputValidationError, _check_kind
+np = _LazyNumpy(globals())
 
 __all__ = [
     "Rect",

@@ -1,8 +1,19 @@
-"""Exception types shared across the package, and the input-kind rule."""
+"""Exception types, the input-kind rule, and the lazy numpy stand-in."""
 
+import sys
 from numbers import Integral, Real
 
-import numpy as np
+
+class _LazyNumpy:
+    """A module's ``np`` until its first read, which imports numpy and rebinds it."""
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
 
 
 class PcmetaError(Exception):
@@ -32,7 +43,9 @@ def _check_kind(name: str, value, kind: type, *, listed: bool = False, low=None)
     """Raise unless ``value`` is a ``kind`` (a bool is not a number), at
     least ``low`` if given, or, when ``listed``, a non-empty list, tuple
     or array of them."""
-    if listed and (not isinstance(value, (list, tuple, np.ndarray)) or len(value) == 0):
+    # Only a loaded numpy can have made an array.
+    arrays = (sys.modules["numpy"].ndarray,) if "numpy" in sys.modules else ()
+    if listed and (not isinstance(value, (list, tuple, *arrays)) or len(value) == 0):
         raise InputValidationError(f"{name} must be a non-empty list, got {value!r}")
     for v in value if listed else [value]:
         if isinstance(v, bool) or not isinstance(v, kind):

@@ -11,9 +11,10 @@ The normal CDF/quantile pair is backed by scipy's ``log_ndtr`` /
 beyond).  The scalar pair calls them (and ``ndtr`` / ``ndtri``) through
 ``cython_special``: the same C kernels as the ``scipy.special`` ufuncs,
 returning Python floats without the ufunc dispatch.  Importing this
-module loads no scipy: the scalar pair's four kernels start as stubs
-that bind them to ``cython_special`` on first use, and each normal array
-kernel imports ``scipy.special`` when it runs.
+module loads neither numpy (``np`` is a stand-in until first read) nor
+scipy: the scalar pair's four kernels start as stubs that bind them to
+``cython_special`` on first use, and each normal array kernel imports
+``scipy.special`` when it runs.
 
 The chi-square upper tail for even degrees of freedom and the
 hypergeometric log-PMF are computed here directly: both reduce to
@@ -29,9 +30,9 @@ from functools import total_ordering
 from numbers import Integral
 from typing import Iterable
 
-import numpy as np
+from .errors import NumericDomainError, _check_kind, _LazyNumpy
 
-from .errors import NumericDomainError, _check_kind
+np = _LazyNumpy(globals())
 
 __all__ = [
     "ProbValue",
@@ -50,9 +51,8 @@ _LOG2 = math.log(2.0)
 # linear value of exactly 0 (and vice versa for 1).
 _TINY_LINEAR = 5e-324
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-# math.lgamma(j + 1) for j < len, as a list and an array; see _log_factorials.
+# math.lgamma(j + 1) for j < len; see _log_factorials.
 _LOG_FACTORIALS: list[float] = []
-_LOG_FACTORIALS_ARRAY = np.empty(0)
 
 
 def _first_use(name: str):
@@ -247,11 +247,11 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
 
 
 def _log_poisson_head(x: float, k: int) -> float:
-    """log of sum_{j < k} x^j / j! for x >= 0 and k >= 1 (0 at x = 0);
-    the one Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
-    if x == 0.0:
+    """log of sum_{j < k} x^j / j! for finite x >= 0 and k >= 1 (0 at x = 0
+    or k = 1); the one Poisson series of ``chisq_sf``, ``log_fisher`` and ``combine_tpm``."""
+    if x == 0.0 or k == 1:
         return 0.0
-    table = _LOG_FACTORIALS if len(_LOG_FACTORIALS) >= k else _log_factorials(k)[0]
+    table = _LOG_FACTORIALS if len(_LOG_FACTORIALS) >= k else _log_factorials(k)
     log_x = math.log(x)
     # log_sum_exp inline: every term is finite for finite x > 0, so its
     # -inf filter would never fire.
@@ -260,14 +260,13 @@ def _log_poisson_head(x: float, k: int) -> float:
     return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
 
 
-def _log_factorials(k: int) -> tuple[list[float], np.ndarray]:
-    """The log factorial tables, both regrown to 2k entries if either is
-    under k: rebound, never extended in place, so no reader sees a partial one."""
-    global _LOG_FACTORIALS, _LOG_FACTORIALS_ARRAY
-    if min(len(_LOG_FACTORIALS), len(_LOG_FACTORIALS_ARRAY)) < k:
+def _log_factorials(k: int) -> list[float]:
+    """The log factorial table, regrown to 2k entries if under k: rebound,
+    never extended in place, so no reader sees a partial one."""
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) < k:
         _LOG_FACTORIALS = [math.lgamma(j + 1) for j in range(2 * k)]
-        _LOG_FACTORIALS_ARRAY = np.array(_LOG_FACTORIALS)
-    return _LOG_FACTORIALS, _LOG_FACTORIALS_ARRAY
+    return _LOG_FACTORIALS
 
 
 def _log_sum_exp_rows(terms: np.ndarray) -> np.ndarray:
@@ -308,7 +307,7 @@ def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
         bad = ~np.isfinite(out)
         if bad.any():
             x = x[bad]
-            terms = np.arange(k) * np.log(x)[:, None] - _log_factorials(k)[1][:k]
+            terms = np.arange(k) * np.log(x)[:, None] - np.array(_log_factorials(k)[:k])
             out[bad] = np.where(x == 0.0, 0.0, _log_sum_exp_rows(terms))
     return out
 

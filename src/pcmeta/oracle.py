@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .combiners import _CHUNK_ROWS, _needs_rescore
-from .errors import InputValidationError, _check_kind
+from .errors import InputValidationError, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "BatchedRule",

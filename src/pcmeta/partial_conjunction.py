@@ -43,8 +43,6 @@ from numbers import Integral
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .combiners import (
     _CHUNK_ROWS,
     CombinerSpec,
@@ -63,8 +61,11 @@ from .errors import (
     InputValidationError,
     NonConvergenceError,
     _check_kind,
+    _LazyNumpy,
 )
 from .numerics import ProbValue
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "GroupPartition",
@@ -86,7 +87,7 @@ __all__ = [
 SubsetCombiner = Callable[[Sequence[ProbValue]], ProbValue]
 SubsetCombinerFactory = Callable[[tuple[int, ...]], SubsetCombiner]
 # Approximate log g_u for each row of a (rows, |u|) matrix of study indices.
-RowKernel = Callable[[np.ndarray], np.ndarray]
+RowKernel = Callable[["np.ndarray"], "np.ndarray"]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 # Entries per structured_subset_combiner memo: enough for every member
@@ -153,6 +154,7 @@ class PcCurve:
     def __post_init__(self) -> None:
         if tuple(e.r for e in self.entries) != tuple(range(1, self.n + 1)):
             raise InputValidationError("entries must cover r = 1..n in order")
+        _check_alpha(self.alpha)
         log_alpha = math.log(self.alpha)
         rejected = frozenset(
             e.r for e in self.entries if e.p.log_value <= log_alpha
@@ -162,6 +164,11 @@ class PcCurve:
         dips = tuple(b.r for a, b in zip(self.entries, self.entries[1:]) if b.p < a.p)
         object.__setattr__(self, "dips", dips)
         object.__setattr__(self, "nondecreasing", not dips)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise InputValidationError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 def _check_r(n: int, r: int) -> None:
@@ -529,6 +536,8 @@ def extract_component(
     successive evaluations agree within ``tol``; failure to converge
     signals a non-sensitive or non-monotone f and raises.
     """
+    for name, v in (("n", n), *(("index", i) for i in u)):
+        _check_kind(name, v, Integral)
     u = tuple(sorted(u))
     if any(i < 0 or i >= n for i in u) or len(set(u)) != len(u):
         raise InputValidationError(f"invalid index set {u!r} for n={n}")
@@ -575,8 +584,7 @@ def select_construction(
     n = len(ps)
     if n < 1:
         raise InputValidationError("need at least one study")
-    if not (0.0 < alpha < 1.0):
-        raise InputValidationError(f"alpha must be in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     selected = [x is not None for x in (spec, groups, g)]
     if sum(selected) != 1:
         raise InputValidationError("pass exactly one of spec=, groups=, g=")

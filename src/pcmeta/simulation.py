@@ -24,12 +24,12 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from typing import Sequence
 
-import numpy as np
-
 from .combiners import CombinerSpec
-from .errors import InputValidationError, _check_kind
+from .errors import InputValidationError, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
 from .partial_conjunction import _check_budget, bhpc_rows, weighted_gbhpc_rows
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "SimConfig",

@@ -1,5 +1,7 @@
-"""What importing pcmeta and running its commands loads: scipy.special
-only where a command calls one of its kernels.
+"""What importing pcmeta and running its commands loads: numpy and
+scipy.special only where a command calls one of their kernels.  Each
+module reaches numpy through ``errors._LazyNumpy`` and scipy through
+function-level imports, so ``import pcmeta.cli`` loads neither.
 
 Each check runs in a fresh interpreter with ``PYTHONPATH=src``, because
 this process has loaded scipy long before any test runs.
@@ -44,9 +46,29 @@ SCIPY_COMMANDS = {
     "pc_stouffer_n": ["pc", "noac.csv", "--method", "stouffer", "--weights-from", "n_sample"],
     "simulate": ["simulate", "sim.json", "--out", "sim.csv"],
 }
+# The paper's scalar analysis: PC curves, grouped GBHPC and exact tests.
+NO_NUMPY_COMMANDS = [
+    ["pc", "noac.csv"],
+    ["pc", "noac.csv", "--method", "simes"],
+    ["pc", "noac.csv", "--method", "bonferroni"],
+    ["pc", "noac.csv", "--method", "tpm", "--gamma", "0.2"],
+    ["pc", "noac.csv", "--groups"],
+    ["pc", "noac.csv", "--r", "3"],
+    ["exact2x2", "counts.csv"],
+    ["dataset"],
+]
+# Commands with array kernels: each must load numpy on its own.
+NUMPY_COMMANDS = {
+    "pc_enumerate": ["pc", "noac.csv", "--enumerate", "--r", "9"],
+    "oracle_validity": ["oracle", "validity", "--method", "fisher", "--k", "5", "--reps",
+                        "10000", "--seed", "1"],
+    "simulate": SCIPY_COMMANDS["simulate"],
+    "counterexample": ["counterexample", "--grid", "3", "--reps", "10000", "--seed", "2",
+                       "--out", "ce.csv"],
+}
 
 # Runs the commands of argv[1] through cli.main in one fresh process
-# and writes, per command, its exit code and whether scipy.special was
+# and writes, per command, its exit code and whether module argv[2] was
 # loaded once it returned.
 CLI_PROBE = """
 import json, sys
@@ -54,7 +76,7 @@ from pcmeta import cli
 report = []
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    report.append([code, "scipy.special" in sys.modules])
+    report.append([code, sys.argv[2] in sys.modules])
 with open("probe.json", "w") as fh:
     json.dump(report, fh)
 """
@@ -75,10 +97,10 @@ def write_inputs(directory: Path) -> None:
     (directory / "sim.json").write_text(json.dumps(SIM_CONFIG))
 
 
-def probe_commands(commands, directory: Path):
-    """(stdout bytes, [[exit code, scipy.special loaded]] per command)."""
+def probe_commands(commands, directory: Path, module: str = "scipy.special"):
+    """(stdout bytes, [[exit code, module loaded]] per command)."""
     write_inputs(directory)
-    proc = fresh_python(CLI_PROBE, json.dumps(commands), cwd=directory)
+    proc = fresh_python(CLI_PROBE, json.dumps(commands), module, cwd=directory)
     return proc.stdout, json.loads((directory / "probe.json").read_text())
 
 
@@ -87,20 +109,38 @@ def test_import_cli_loads_no_scipy_special(tmp_path):
                  "sorted(m for m in sys.modules if m.startswith('scipy'))", cwd=tmp_path)
 
 
+def test_import_cli_loads_no_numpy(tmp_path):
+    fresh_python("import sys, pcmeta.cli\nassert 'numpy' not in sys.modules", cwd=tmp_path)
+
+
+def test_first_numpy_read_rebinds_only_that_module(tmp_path):
+    fresh_python("""
+import sys
+from pcmeta import combiners, numerics
+from pcmeta.errors import _LazyNumpy
+assert isinstance(numerics.np, _LazyNumpy) and "numpy" not in sys.modules
+assert numerics.np.log1p(0.0) == 0.0
+assert numerics.np is sys.modules["numpy"] and isinstance(combiners.np, _LazyNumpy)
+""", cwd=tmp_path)
+
+
 def test_commands_without_scipy_kernels_load_none(tmp_path):
     _, report = probe_commands(NO_SCIPY_COMMANDS, tmp_path)
     assert report == [[0, False]] * len(NO_SCIPY_COMMANDS)
 
 
-@pytest.mark.parametrize("name", sorted(SCIPY_COMMANDS))
-def test_commands_with_scipy_kernels_load_it_with_same_bytes(
-    name, tmp_path, monkeypatch, capsys
-):
-    argv = SCIPY_COMMANDS[name]
+def test_scalar_commands_load_no_numpy(tmp_path):
+    _, report = probe_commands(NO_NUMPY_COMMANDS, tmp_path, "numpy")
+    assert report == [[0, False]] * len(NO_NUMPY_COMMANDS)
+
+
+def assert_loads_with_same_bytes(argv, module, tmp_path, monkeypatch, capsys):
+    """A fresh process running argv loads module, and prints and writes
+    the same bytes as this process, where everything is loaded."""
     fresh_dir, here_dir = tmp_path / "fresh", tmp_path / "here"
     fresh_dir.mkdir()
     here_dir.mkdir()
-    fresh_out, report = probe_commands([argv], fresh_dir)
+    fresh_out, report = probe_commands([argv], fresh_dir, module)
     assert report == [[0, True]]
 
     write_inputs(here_dir)
@@ -112,6 +152,22 @@ def test_commands_with_scipy_kernels_load_it_with_same_bytes(
     written = sorted(set(os.listdir(here_dir)) - {"noac.csv", "counts.csv", "sim.json"})
     for out_name in written:
         assert (fresh_dir / out_name).read_bytes() == (here_dir / out_name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_COMMANDS))
+def test_commands_with_scipy_kernels_load_it_with_same_bytes(
+    name, tmp_path, monkeypatch, capsys
+):
+    assert_loads_with_same_bytes(SCIPY_COMMANDS[name], "scipy.special", tmp_path,
+                                 monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_COMMANDS))
+def test_commands_with_array_kernels_load_numpy_with_same_bytes(
+    name, tmp_path, monkeypatch, capsys
+):
+    assert_loads_with_same_bytes(NUMPY_COMMANDS[name], "numpy", tmp_path, monkeypatch,
+                                 capsys)
 
 
 # The first call of the scalar normal pair in a fresh process goes through
@@ -169,11 +225,20 @@ def top_level_imports(path: Path) -> set[str]:
     return names
 
 
+MODULES = sorted((SRC / "pcmeta").glob("*.py"))
+
+
 def test_no_module_imports_scipy_at_top_level():
-    modules = sorted((SRC / "pcmeta").glob("*.py"))
-    assert {"numerics.py", "combiners.py", "cli.py"} <= {p.name for p in modules}
-    assert "numpy" in top_level_imports(SRC / "pcmeta" / "numerics.py")
-    for path in modules:
+    assert {"numerics.py", "combiners.py", "cli.py"} <= {p.name for p in MODULES}
+    # The walker sees top-level imports: numerics imports math there.
+    assert "math" in top_level_imports(SRC / "pcmeta" / "numerics.py")
+    for path in MODULES:
         scipy = {m for m in top_level_imports(path) if m.split(".")[0] == "scipy"}
         assert not scipy, (path.name, scipy)
+
+
+def test_no_module_imports_numpy_at_top_level():
+    for path in MODULES:
+        numpy = {m for m in top_level_imports(path) if m.split(".")[0] == "numpy"}
+        assert not numpy, (path.name, numpy)
 

@@ -715,6 +715,12 @@ class TestExtractComponent:
         with pytest.raises(InputValidationError):
             extract_component(lambda v: v[0], 3, (0, 5))
 
+    def test_non_integer_n_or_index(self):
+        for n, u in [(3, (True,)), (3, (0, 1.5)), (3.0, (0, 1)), (True, (0,))]:
+            with pytest.raises(InputValidationError, match="is not an integer"):
+                extract_component(lambda v: v[0], n, u)
+        assert extract_component(lambda v: v[0], np.int64(3), (np.int64(0), 2))
+
 
 class TestPcCurve:
     def test_simes_curve_nondecreasing_interval(self):
@@ -759,6 +765,13 @@ class TestPcCurve:
                 alpha=0.05,
                 entries=(PcEntry(2, ProbValue.one()), PcEntry(1, ProbValue.one())),
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(InputValidationError, match="alpha must be in"):
+            PcCurve(n=1, method="x", alpha=alpha, entries=(PcEntry(1, ProbValue.one()),))
+        with pytest.raises(InputValidationError, match="alpha must be in"):
+            pc_curve(pv(0.1, 0.2), alpha, spec=SIMES)
 
     def test_select_construction_matches_curve(self, bundled_pvalues):
         curve = pc_curve(bundled_pvalues, 0.05, g=fixed_subset_combiner(SIMES))
