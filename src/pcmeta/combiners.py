@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
-from typing import Callable, NamedTuple, Sequence
+from numbers import Integral, Real
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputValidationError, NumericDomainError, _check_kind, _LazyNumpy
 from .numerics import (
@@ -91,15 +91,14 @@ class CombinerSpec:
             raise InputValidationError(f"unknown combiner method {self.method!r}")
         if (self.method == "tpm") != (self.tpm_gamma is not None):
             raise InputValidationError("tpm_gamma must be given iff method == 'tpm'")
-        if self.tpm_gamma is not None and not (0.0 < self.tpm_gamma <= 1.0):
-            raise InputValidationError(f"tpm_gamma must be in (0, 1], got {self.tpm_gamma}")
+        if self.tpm_gamma is not None:
+            _check_gamma("tpm_gamma", self.tpm_gamma)
         if (self.method == "stouffer_weighted") != (self.weights is not None):
             raise InputValidationError(
                 "weights must be given iff method == 'stouffer_weighted'"
             )
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            _check_weights(self.weights)
+            object.__setattr__(self, "weights", _check_weights(self.weights))
 
     @property
     def is_symmetric(self) -> bool:
@@ -127,10 +126,21 @@ def _require_nonempty(ps: Sequence[ProbValue]) -> None:
 _BAD_WEIGHTS = "weights must be finite and strictly positive"
 
 
-def _check_weights(weights: Sequence[float]) -> None:
-    """Raise unless the weights are non-empty, finite and positive."""
-    if len(weights) == 0 or not all(0.0 < w < math.inf for w in weights):
+def _check_weights(weights: Iterable[float]) -> tuple[float, ...]:
+    """The weights as floats; raise unless they are a non-empty run of
+    finite, positive numbers (a bool is not a number)."""
+    weights = tuple(weights)
+    _check_kind("weights", weights, Real, listed=True)
+    if not all(0.0 < w < math.inf for w in weights):
         raise InputValidationError(_BAD_WEIGHTS)
+    return tuple(map(float, weights))
+
+
+def _check_gamma(name: str, gamma: float) -> None:
+    """Raise unless ``gamma``, a TPM truncation point, is a number in (0, 1]."""
+    _check_kind(name, gamma, Real)
+    if not 0.0 < gamma <= 1.0:
+        raise InputValidationError(f"{name} must be in (0, 1], got {gamma!r}")
 
 
 def log_fisher(log_ps: Sequence[float]) -> float:
@@ -339,8 +349,7 @@ def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:
     sum leaves it out.  With gamma = 1 this reduces exactly to Fisher's method.
     """
     _require_nonempty(ps)
-    if not (0.0 < gamma <= 1.0):
-        raise InputValidationError(f"gamma must be in (0, 1], got {gamma!r}")
+    _check_gamma("gamma", gamma)
     L = len(ps)
     log_gamma = math.log(gamma)
     truncated = [p.log_value for p in ps if p.log_value <= log_gamma]

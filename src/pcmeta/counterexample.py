@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
-from .errors import InputValidationError, _check_kind, _LazyNumpy
+from .errors import InputValidationError, _check_alpha, _check_kind, _LazyNumpy
 
 np = _LazyNumpy(globals())
 
@@ -91,8 +91,7 @@ class RejectionRegion2D:
     diagonal_squares: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise InputValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     def rectangles(self) -> list[Rect]:
         rects = [Rect(0.0, self.alpha)]
@@ -122,6 +121,7 @@ def _shrink_hi(lo: float, hi: float, cap: float) -> float:
 
 
 def _corner_threshold(alpha: float) -> float:
+    _check_alpha(alpha)  # the loop below would not end for a tiny negative alpha
     lo = 1.0 - alpha if alpha < 0.5 else alpha
     while 1.0 - lo > alpha:  # keep the corner's slice measure <= alpha
         lo = math.nextafter(lo, 1.0)
@@ -137,6 +137,7 @@ def region_phi_prime(alpha: float) -> RejectionRegion2D:
 
 
 def region_phi_tilde(alpha: float) -> RejectionRegion2D:
+    _check_alpha(alpha)
     if not (0.0 < alpha < 0.5):
         raise InputValidationError(f"phi_tilde needs alpha in (0, 1/2), got {alpha!r}")
     k_max = math.floor((1.0 - alpha) / alpha) - 1
@@ -260,7 +261,7 @@ def power_grids_2d(
     _check_kind("mu_grid", mu_grid, Real, listed=True)
     if not all(math.isfinite(mu) for mu in mu_grid):
         raise InputValidationError("mu_grid must hold only finite means")
-    _check_kind("alpha", alpha, Real)
+    _check_alpha(alpha)
     regions = [_REGIONS[test](alpha) for test in tests]
     points: list[list[PowerPoint]] = [[] for _ in tests]
     for i, mu1 in enumerate(mu_grid):

@@ -3,6 +3,14 @@
 import sys
 from numbers import Integral, Real
 
+__all__ = [
+    "PcmetaError",
+    "InputValidationError",
+    "NumericDomainError",
+    "NonConvergenceError",
+    "EnumerationBudgetError",
+]
+
 
 class _LazyNumpy:
     """A module's ``np`` until its first read, which imports numpy and rebinds it."""
@@ -52,3 +60,10 @@ def _check_kind(name: str, value, kind: type, *, listed: bool = False, low=None)
             raise InputValidationError(f"{name}: {v!r} is not {_KINDS[kind]}")
         if low is not None and v < low:
             raise InputValidationError(f"{name} must be at least {low}, got {v!r}")
+
+
+def _check_alpha(alpha) -> None:
+    """Raise unless ``alpha`` is a number in (0, 1)."""
+    _check_kind("alpha", alpha, Real)
+    if not 0.0 < alpha < 1.0:
+        raise InputValidationError(f"alpha must be in (0, 1), got {alpha!r}")

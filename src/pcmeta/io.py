@@ -12,6 +12,9 @@ The bundled dataset keeps both the counts and the published per-row
 p-values in one versioned file; ``load_bundled_records`` exposes it as
 either a p-value view or a counts view so it can flow through the same
 ingestion paths as user data.
+
+Every CSV written here has one layout, ``_csv_text``: a header row, then
+the rows, with "\\n" line endings.
 """
 
 from __future__ import annotations
@@ -207,28 +210,25 @@ def load_bundled_records(view: str = "pvalues") -> list[StudyRecord]:
     return parse_study_rows(rows)
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of the header row and then ``rows``."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def export_bundled_csv(view: str) -> str:
     """The bundled dataset rendered as CSV text for the given view."""
     if view == "full":
         return bundled_dataset_text()
     records = load_bundled_records(view)
-    buf = _io.StringIO()
     if view == "pvalues":
         fields = ["study_id", "group_factor", "n_sample", "p"]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for r in records:
-            writer.writerow([r.study_id, r.group_factor, r.n_sample, r.p])
     else:
         fields = ["study_id", "group_factor", *_COUNT_FIELDS, "n_sample"]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for r in records:
-            writer.writerow(
-                [r.study_id, r.group_factor, r.events_a, r.total_a, r.events_b,
-                 r.total_b, r.n_sample]
-            )
-    return buf.getvalue()
+    return _csv_text(fields, ([getattr(r, f) for f in fields] for r in records))
 
 
 def curve_warnings(curve: PcCurve) -> list[str]:
@@ -253,27 +253,19 @@ def curve_to_json_dict(curve: PcCurve) -> dict:
 
 
 def curve_to_csv(curve: PcCurve) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r", "p", "log_p", "method", "alpha", "rejected"])
-    for e in curve.entries:
-        writer.writerow(
-            [e.r, repr(e.p.linear), repr(e.p.log_value), curve.method,
-             repr(curve.alpha), int(e.r in curve.confidence_set)]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["r", "p", "log_p", "method", "alpha", "rejected"],
+        ([e.r, repr(e.p.linear), repr(e.p.log_value), curve.method, repr(curve.alpha),
+          int(e.r in curve.confidence_set)] for e in curve.entries),
+    )
 
 
 def power_grid_to_csv(grid: PowerGrid) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mu0", "sigma0", "method", "r0", "power", "se"])
-    for cell in grid.cells:
-        writer.writerow(
-            [repr(cell.mu0), repr(cell.sigma0), cell.method, cell.r0,
-             repr(cell.power), repr(cell.se)]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["mu0", "sigma0", "method", "r0", "power", "se"],
+        ([repr(c.mu0), repr(c.sigma0), c.method, c.r0, repr(c.power), repr(c.se)]
+         for c in grid.cells),
+    )
 
 
 def read_power_grid_csv(text: str) -> list[dict]:
@@ -293,15 +285,11 @@ def read_power_grid_csv(text: str) -> list[dict]:
 
 
 def counterexample_grid_to_csv(grids: Sequence[CounterexamplePowerGrid]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["mu1", "mu2", "test", "power", "se"])
-    for grid in grids:
-        for pt in grid.points:
-            writer.writerow(
-                [repr(pt.mu1), repr(pt.mu2), pt.test, repr(pt.power), repr(pt.se)]
-            )
-    return buf.getvalue()
+    return _csv_text(
+        ["mu1", "mu2", "test", "power", "se"],
+        ([repr(pt.mu1), repr(pt.mu2), pt.test, repr(pt.power), repr(pt.se)]
+         for grid in grids for pt in grid.points),
+    )
 
 
 def format_prob(p: ProbValue, digits: int = 6) -> str:

@@ -234,7 +234,8 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
     All terms are positive, so the log form is exact to roundoff at any
     x; there is no tail truncation.
     """
-    if not isinstance(dof, int) or dof <= 0 or dof % 2 != 0:
+    _check_kind("dof", dof, Integral)
+    if dof <= 0 or dof % 2 != 0:
         raise NumericDomainError(f"dof must be a positive even integer, got {dof!r}")
     if math.isnan(x) or x < 0.0:
         raise NumericDomainError(f"requires x >= 0, got {x!r}")
@@ -243,7 +244,7 @@ def chisq_sf(x: float, dof: int) -> ProbValue:
     if math.isinf(x):
         return ProbValue.zero()
     half = x / 2.0
-    return ProbValue.from_log(min(0.0, -half + _log_poisson_head(half, dof // 2)))
+    return ProbValue.from_log(min(0.0, -half + _log_poisson_head(half, int(dof) // 2)))
 
 
 def _log_poisson_head(x: float, k: int) -> float:

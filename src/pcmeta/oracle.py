@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Iterator, Sequence
 
-from .combiners import _CHUNK_ROWS, _needs_rescore
+from .combiners import _CHUNK_ROWS, _check_gamma, _needs_rescore
 from .errors import InputValidationError, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
 
@@ -164,10 +164,8 @@ def tpm_mc_cdf(
     _check_kind("L", L, Integral, low=1)
     _check_kind("reps", reps, Integral, low=10**6)
     _check_kind("seed", seed, Integral, low=0)
-    _check_kind("gamma", gamma, Real)
+    _check_gamma("gamma", gamma)
     _check_kind("w", w, Real)
-    if not (0.0 < gamma <= 1.0):
-        raise InputValidationError(f"gamma must be in (0, 1], got {gamma!r}")
     if not (0.0 <= w <= 1.0):
         raise InputValidationError(f"w must be in [0, 1], got {w!r}")
     if w == 0.0:

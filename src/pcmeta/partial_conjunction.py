@@ -60,6 +60,7 @@ from .errors import (
     EnumerationBudgetError,
     InputValidationError,
     NonConvergenceError,
+    _check_alpha,
     _check_kind,
     _LazyNumpy,
 )
@@ -164,11 +165,6 @@ class PcCurve:
         dips = tuple(b.r for a, b in zip(self.entries, self.entries[1:]) if b.p < a.p)
         object.__setattr__(self, "dips", dips)
         object.__setattr__(self, "nondecreasing", not dips)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise InputValidationError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 def _check_r(n: int, r: int) -> None:
@@ -399,10 +395,10 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
     The array form computes z_i = Phi^{-1}(1 - p_i) once per study with
     ``combiners._upper_z_rows``, NaN for a p of 0 or 1 (or within 1e-6
     of 1), so every subset holding one is rescored and the scalar rule
-    raises on it as it always has.
+    raises on it as it always has.  Binding it to other than one p-value
+    per weight raises before any subset is scored.
     """
-    weights = tuple(float(w) for w in weights)
-    _check_weights(weights)
+    weights = _check_weights(weights)
     w = np.array(weights)
 
     def factory(u: tuple[int, ...]) -> SubsetCombiner:
@@ -410,6 +406,8 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
         return lambda p_u: combine_stouffer_weighted(p_u, w_u)
 
     def bind(ps: Sequence[ProbValue]) -> RowKernel:
+        if len(ps) != len(weights):
+            raise InputValidationError(f"{len(weights)} weights for {len(ps)} p-values")
         z = _upper_z_rows(np.array([p.log_value for p in ps]))
         return lambda idx: log_stouffer_rows(z[idx], w[idx])
 
@@ -428,8 +426,7 @@ def weighted_gbhpc_rows(log_p: np.ndarray, r: int, weights: Sequence[float]) -> 
     n = log_p.shape[1]
     _check_r(n, r)
     _check_budget(n, r)
-    w = np.array(weights, dtype=float)
-    _check_weights(w)
+    w = np.array(_check_weights(weights))
     if len(w) != n:
         raise InputValidationError(f"{len(w)} weights for {n} p-values")
     z = -special.ndtri_exp(log_p)
@@ -522,41 +519,36 @@ def structured_gbhpc(
 
 
 def extract_component(
-    f: Callable[[Sequence[ProbValue]], ProbValue],
-    n: int,
-    u: Sequence[int],
-    probes: Sequence[float] = (1e-3, 1e-6, 1e-9, 1e-12),
-    tol: float = 1e-10,
+    f: Callable[[Sequence[ProbValue]], ProbValue], n: int, u: Sequence[int]
 ) -> SubsetCombiner:
     """Recover the subset rule g_u hiding inside a monotone PC p-value.
 
     For a sensitive monotone rule, g_u(p_u) is the limit of
-    f(p_u : eps at the other positions) as eps drops to 0.  The limit is
-    approximated over the probe schedule and declared converged when two
-    successive evaluations agree within ``tol``; failure to converge
-    signals a non-sensitive or non-monotone f and raises.
+    f(p_u : eps at the other positions) as eps drops to 0.  The probes
+    are log eps = -10, -1e2, -1e3, -1e4 and -1e5, deep enough for a
+    left-out study of small weight to stop setting the maximum; the
+    first value that the next probe repeats exactly is the limit.  No
+    repeat signals a non-sensitive or non-monotone f and raises.
     """
     for name, v in (("n", n), *(("index", i) for i in u)):
         _check_kind(name, v, Integral)
     u = tuple(sorted(u))
     if any(i < 0 or i >= n for i in u) or len(set(u)) != len(u):
         raise InputValidationError(f"invalid index set {u!r} for n={n}")
-    others = [i for i in range(n) if i not in set(u)]
 
     def evaluator(p_u: Sequence[ProbValue]) -> ProbValue:
         if len(p_u) != len(u):
             raise InputValidationError(f"expected {len(u)} values, got {len(p_u)}")
-        if not others:
+        if len(u) == n:
             return f(list(p_u))
-        previous: ProbValue | None = None
-        for eps in probes:
-            filler = ProbValue.from_linear(eps)
-            vec: list[ProbValue] = [filler] * n
+        previous = None
+        for log_eps in (-10.0, -1e2, -1e3, -1e4, -1e5):
+            vec = [ProbValue.from_log(log_eps)] * n
             for pos, idx in enumerate(u):
                 vec[idx] = p_u[pos]
             value = f(vec)
-            if previous is not None and abs(value.linear - previous.linear) < tol:
-                return value
+            if value == previous:
+                return previous
             previous = value
         raise NonConvergenceError(
             "component extraction did not stabilize over the probe schedule; "

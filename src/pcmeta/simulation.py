@@ -25,7 +25,7 @@ from numbers import Integral, Real
 from typing import Sequence
 
 from .combiners import CombinerSpec
-from .errors import InputValidationError, _check_kind, _LazyNumpy
+from .errors import InputValidationError, _check_alpha, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
 from .partial_conjunction import _check_budget, bhpc_rows, weighted_gbhpc_rows
 
@@ -71,7 +71,7 @@ class SimConfig:
             _check_kind(name, getattr(self, name), Integral)
         _check_kind("reps", self.reps, Integral, low=10**3)
         _check_kind("seed", self.seed, Integral, low=0)
-        for name in ("mu0", "sigma0", "alpha"):
+        for name in ("mu0", "sigma0"):
             _check_kind(name, getattr(self, name), Real)
         _check_kind("sample_sizes", self.sample_sizes, Integral, listed=True)
         _check_kind("methods", self.methods, str, listed=True)
@@ -85,8 +85,7 @@ class SimConfig:
             raise InputValidationError(f"r must be in 1..{self.n}, got {self.r}")
         if not (0 < self.mu0 < math.inf and 0 < self.sigma0 < math.inf):
             raise InputValidationError("mu0 and sigma0 must be positive and finite")
-        if not (0.0 < self.alpha < 1.0):
-            raise InputValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         unknown = set(self.methods) - set(METHOD_NAMES)
         if unknown:
             raise InputValidationError(f"unknown methods: {sorted(unknown)}")

@@ -8,6 +8,7 @@ this process has loaded scipy long before any test runs.
 """
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 from scipy import special as sps
 
+import pcmeta
 from pcmeta import cli, numerics
 from pcmeta import io as pio
 from pcmeta.numerics import ProbValue
@@ -242,3 +244,61 @@ def test_no_module_imports_numpy_at_top_level():
         numpy = {m for m in top_level_imports(path) if m.split(".")[0] == "numpy"}
         assert not numpy, (path.name, numpy)
 
+
+# The modules whose public names the package exports, in ``__init__`` order.
+PACKAGE_MODULES = ("combiners", "counterexample", "errors", "numerics", "oracle",
+                   "partial_conjunction", "simulation")
+# pcmeta.__all__ when it was written out by hand in pcmeta/__init__.py.
+EXPORTED_BY_HAND = [
+    "BatchedRule", "CombinerSpec", "CountTable2x2", "FisherExactResult", "GroupPartition",
+    "NullConfig", "PcCurve", "PcEntry", "PowerGrid", "ProbValue", "SimConfig",
+    "ValidityEstimate", "EnumerationBudgetError", "InputValidationError",
+    "NonConvergenceError", "NumericDomainError", "PcmetaError", "bhpc", "chisq_sf",
+    "combine", "combine_bonferroni", "combine_fisher", "combine_simes",
+    "combine_stouffer_weighted", "combine_tpm", "draw_study_pvalues", "extract_component",
+    "fisher_exact_2x2", "fixed_subset_combiner", "gbhpc_enumerate", "hypergeom_log_pmf",
+    "log_sum_exp", "mc_validity", "pc_curve", "phi", "phi_prime", "phi_tilde",
+    "power_grid_2d", "power_grids_2d", "region_phi", "region_phi_prime",
+    "region_phi_tilde", "run_power_map", "select_construction", "slice_validity",
+    "std_normal_quantile", "std_normal_sf", "structured_gbhpc",
+    "structured_subset_combiner", "tpm_mc_cdf", "weighted_subset_combiner",
+]
+
+
+def test_package_all_is_the_module_lists():
+    modules = [importlib.import_module(f"pcmeta.{name}") for name in PACKAGE_MODULES]
+    assert pcmeta.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(pcmeta.__all__)) == len(pcmeta.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(pcmeta, name) is getattr(m, name), (m.__name__, name)
+
+
+def test_package_keeps_every_name_it_exported():
+    assert len(EXPORTED_BY_HAND) == len(set(EXPORTED_BY_HAND)) == 51
+    assert set(EXPORTED_BY_HAND) <= set(pcmeta.__all__)
+
+
+def top_level_definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds by def, class or assignment, not by import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_module_all_names_only_its_own_definitions():
+    checked = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (path.name != "__init__.py" and isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                missing = set(ast.literal_eval(node.value)) - top_level_definitions(tree)
+                assert not missing, (path.name, missing)
+                checked.add(path.stem)
+    assert checked >= set(PACKAGE_MODULES) | {"io"}

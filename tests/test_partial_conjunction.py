@@ -722,6 +722,49 @@ class TestExtractComponent:
         assert extract_component(lambda v: v[0], np.int64(3), (np.int64(0), 2))
 
 
+def dominated_by_bhpc(vec):
+    """bhpc Fisher times (1 + p_min): monotone, valid and dominated, since
+    each of its limits g_u is Fisher on p_u."""
+    p_min = min(vec).linear
+    return ProbValue.from_log(min(0.0, bhpc(vec, 2, FISHER).log_value + math.log1p(p_min)))
+
+
+class TestExtractComponentLimit:
+    """The limits of a monotone rule f at n = 5, r = 2: f equals the
+    largest g_u when it is admissible and exceeds it when dominated."""
+
+    RULES = {
+        "weighted_gbhpc": lambda vec: gbhpc_enumerate(
+            vec, 2, weighted_subset_combiner([1.0, 2.0, 3.0, 4.0, 5.0])),
+        "bhpc_fisher": lambda vec: bhpc(vec, 2, FISHER),
+        "dominated": dominated_by_bhpc,
+    }
+
+    def test_weighted_gbhpc_limit_past_linear_probes(self):
+        # The left-out study has the smallest weight, so subsets holding it
+        # set the maximum until log eps is about -1e4.
+        g = extract_component(self.RULES["weighted_gbhpc"], 5, (1, 2, 3, 4))
+        got = g(pv(0.27, 0.042, 0.0175, 0.81)).linear
+        assert abs(got - 0.077437) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_gap_to_largest_component(self, name):
+        f = self.RULES[name]
+        subsets = list(combinations(range(5), 4))
+        limits = [extract_component(f, 5, u) for u in subsets]
+        rng = np.random.default_rng(97)
+        start = time.perf_counter()
+        for _ in range(50):
+            ps = pv(*rng.random(5))
+            best = max(g([ps[i] for i in u]).log_value for g, u in zip(limits, subsets))
+            gap = f(ps).log_value - best
+            if name == "dominated":
+                assert gap > 0.0, ps
+            else:
+                assert gap == 0.0, ps
+        assert time.perf_counter() - start < 2.0
+
+
 class TestPcCurve:
     def test_simes_curve_nondecreasing_interval(self):
         rng = np.random.default_rng(61)
