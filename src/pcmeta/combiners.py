@@ -67,6 +67,7 @@ METHODS = ("fisher", "simes", "bonferroni", "stouffer_weighted", "tpm")
 SYMMETRIC_METHODS = frozenset({"fisher", "simes", "bonferroni", "tpm"})
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
 # Rows per array pass in the exact screens: enough to amortise numpy
 # calls, few enough that temporaries stay a few hundred kB.
 _CHUNK_ROWS = 1024
@@ -161,8 +162,13 @@ def log_fisher_rows(log_p: np.ndarray) -> np.ndarray:
     Rows with a p of 0 give -inf and rows of all ones give 0, as in
     ``log_fisher``.
     """
-    half = -log_p.sum(axis=1)
-    out = np.minimum(0.0, -half + _log_poisson_head_rows(half, log_p.shape[1]))
+    return _log_fisher_from_half(-log_p.sum(axis=1), log_p.shape[1])
+
+
+def _log_fisher_from_half(half: np.ndarray, k: int) -> np.ndarray:
+    """``log_fisher`` of k p-values from each entry of a 1-D array of
+    half their chi-square statistics, -sum(log p)."""
+    out = np.minimum(0.0, -half + _log_poisson_head_rows(half, k))
     out[half == np.inf] = _NEG_INF
     return out
 
@@ -187,10 +193,14 @@ def log_bonferroni_rows(log_p: np.ndarray) -> np.ndarray:
 def log_stouffer_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise weighted z-rule from (rows, k) arrays of z_i = Phi^{-1}(1 - p_i)
     and of their weights: log(1 - Phi(sum w_i z_i / sqrt(sum w_i^2)))."""
+    return _log_stouffer_from_sums((weights * z).sum(axis=1), (weights * weights).sum(axis=1))
+
+
+def _log_stouffer_from_sums(wz: np.ndarray, ww: np.ndarray) -> np.ndarray:
+    """The weighted z-rule from arrays of sum w_i z_i and of sum w_i^2."""
     from scipy import special
 
-    stat = (weights * z).sum(axis=1) / np.sqrt((weights * weights).sum(axis=1))
-    return special.log_ndtr(-stat)
+    return special.log_ndtr(-(wz / np.sqrt(ww)))
 
 
 def log_tpm_rows(log_p: np.ndarray, gamma: float) -> np.ndarray:
@@ -310,9 +320,9 @@ def combine_stouffer_weighted(
     p, so inputs like 1e-200 keep their full weight.  One pass over the
     (w_i, p_i) pairs checks each weight, notes a p_i of exactly 0 or 1
     (where the quantile is undefined) and collects w_i z_i and w_i^2.  A
-    bad weight raises ``InputValidationError`` as soon as it is seen, so
-    it takes precedence over a p_i in {0, 1}, which raises
-    ``NumericDomainError`` after the pass.
+    bad weight (a bool, not a number, or not finite and positive) raises
+    ``InputValidationError`` as soon as it is seen, so it takes precedence
+    over a p_i in {0, 1}, which raises ``NumericDomainError`` after the pass.
     """
     _require_nonempty(ps)
     if len(weights) != len(ps):
@@ -321,7 +331,9 @@ def combine_stouffer_weighted(
     squares: list[float] = []
     at_edge = False
     for w, p in zip(weights, ps):
-        if not 0.0 < w < math.inf:
+        if w.__class__ is not float:
+            _check_kind("weights", w, Real)
+        if not 0.0 < w < _INF:
             raise InputValidationError(_BAD_WEIGHTS)
         log_p = p.log_value
         if log_p == _NEG_INF or log_p == 0.0:

@@ -12,11 +12,10 @@ constructions are implemented:
   expressed through a factory that receives the original indices.  The
   library factories ``fixed_subset_combiner`` and
   ``weighted_subset_combiner`` also carry an array form, which scores
-  every subset; the scalar rule rescores only those that
-  ``combiners._needs_rescore`` selects, so the result stays exact.
-  Both passes get their index rows from one numpy unranker (rank ->
-  subset in ``itertools.combinations`` order), a batch at a time.
-  Other factories run the scalar loop over ``itertools.combinations``.
+  every subset as a pair of half-subsets from two small tables; the
+  scalar rule rescores only those that ``combiners._needs_rescore``
+  selects, so the result stays exact.  Other factories run the scalar
+  loop over ``itertools.combinations``.
 
 Monte Carlo studies use the row forms ``bhpc_rows`` and
 ``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
@@ -44,16 +43,16 @@ from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from .combiners import (
-    _CHUNK_ROWS,
     CombinerSpec,
     _check_weights,
+    _log_fisher_from_half,
     _log_simes_sorted_rows,
+    _log_stouffer_from_sums,
     _needs_rescore,
     _upper_z_rows,
     combine,
     combine_stouffer_weighted,
     log_fisher,
-    log_stouffer_rows,
     rows_for,
 )
 from .errors import (
@@ -87,15 +86,14 @@ __all__ = [
 
 SubsetCombiner = Callable[[Sequence[ProbValue]], ProbValue]
 SubsetCombinerFactory = Callable[[tuple[int, ...]], SubsetCombiner]
-# Approximate log g_u for each row of a (rows, |u|) matrix of study indices.
-RowKernel = Callable[["np.ndarray"], "np.ndarray"]
+# Approximate log g_u of each u = a + b, rows a, b of two index matrices, row-major.
+PairKernel = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 # Entries per structured_subset_combiner memo: enough for every member
 # set of every block when n <= 14; a few MB at most.
 _BLOCK_FISHER_CACHE_SIZE = 1 << 14
-# Indices per batch of unranked subsets (256 kB of intp): several kernel
-# chunks for small subsets, one chunk from 32 studies per subset up.
+# Indices per kernel call of the enumeration screen (256 kB of intp).
 _BATCH_ENTRIES = 1 << 15
 
 
@@ -218,104 +216,86 @@ def bhpc_rows(log_p: np.ndarray, r: int, spec: CombinerSpec) -> np.ndarray:
     return (_log_simes_sorted_rows if spec.method == "simes" else rows_for(spec))(kept)
 
 
+@dataclass(frozen=True)
 class _ArrayFactory:
     """A subset-combiner factory that can also score subsets in bulk.
 
     Called with a subset it returns the scalar combiner, like any
-    factory.  ``bind(ps)`` returns a ``RowKernel`` for these p-values,
+    factory.  ``bind(ps)`` returns a ``PairKernel`` for these p-values,
     NaN for the subsets it cannot score.
     """
 
-    def __init__(
-        self,
-        scalar: SubsetCombinerFactory,
-        bind: Callable[[Sequence[ProbValue]], RowKernel],
-    ) -> None:
-        self._scalar = scalar
-        self.bind = bind
+    scalar: SubsetCombinerFactory
+    bind: Callable[[Sequence[ProbValue]], PairKernel]
 
     def __call__(self, u: tuple[int, ...]) -> SubsetCombiner:
-        return self._scalar(u)
+        return self.scalar(u)
 
 
-def _unrank_directly(n: int, size: int) -> bool:
-    """Whether ``_unranker`` unranks the subsets themselves rather than
-    their complements.  On batches of 1,024 to 3,072 rows at n = 18, 24
-    and 40 (numpy 2.4, x86-64), unranking the subsets was faster up to
-    size = 2 (n - size) and the complement plus its mask beyond."""
-    return 2 * (n - size) >= size
+@lru_cache(maxsize=32)  # every half-table of a curve up to n = 30
+def _half(lo: int, hi: int, k: int) -> tuple[int, Callable[..., np.ndarray]]:
+    """The k-subsets of range(lo, hi) in ``itertools.combinations`` order:
+    their count and a map from a slice or index array of them to their
+    ``intp`` rows.  Past k = (hi - lo) / 2 they are the masks of their
+    complements in reverse lex order, built per slice past ``_BATCH_ENTRIES``."""
+    m, j = hi - lo, min(k, hi - lo - k)
+    table = np.array(list(combinations(range(lo, hi), j)), np.intp)  # (count, j), j = 0 too
+    if j < k:
+        dropped = table[::-1] - lo
+
+        def rows(which) -> np.ndarray:
+            mask = np.ones((len(part := dropped[which]), m), dtype=bool)
+            mask[np.arange(len(part))[:, None], part] = False
+            return np.nonzero(mask)[1].reshape(len(part), k) + lo
+
+        if len(table) * k > _BATCH_ENTRIES:
+            return len(table), rows
+        table = rows(slice(None))
+    table.flags.writeable = False  # cached: shared by every screen
+    return len(table), table.__getitem__
 
 
-def _unranker(n: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Map ranks to the subsets of range(n) of ``size`` elements, in
-    ``itertools.combinations`` order: one ascending ``intp`` row per rank.
-
-    A k-subset c_0 < .. < c_{k-1} has lex rank C(n, k) - 1 - m with
-    m = sum_j C(n-1-c_j, k-j), so level j takes the largest
-    C(n-1-c_j, k-j) not above what is left of m: one ``searchsorted``
-    per level for all ranks at once.  A level's table holds only the
-    values c_j >= j can reach, every one at most C(n, k), so int64 never
-    overflows.  The cost grows with the number of levels, so when
-    ``_unrank_directly`` says no, the complement is unranked instead
-    (its lex rank reverses the subset's, so m = rank) and each row is
-    what its mask leaves.
-    """
-    direct = _unrank_directly(n, size)
-    k = size if direct else n - size
-    levels = []
-    for j, i in enumerate(range(k, 0, -1)):
-        reachable = range(i - 1, n - k + i)  # b = n-1-c_j for c_j = n-k+j .. j
-        table = np.array([math.comb(b, i) for b in reachable], dtype=np.int64)
-        levels.append((table, table[1:], n - k + j))
-    top = math.comb(n, size) - 1
-
-    def unrank(ranks: np.ndarray) -> np.ndarray:
-        m = top - ranks if direct else np.array(ranks, dtype=np.int64)
-        cols = np.empty((len(m), k), dtype=np.intp)
-        for j, (table, above_zero, first) in enumerate(levels):
-            pos = above_zero.searchsorted(m, side="right")
-            m -= table[pos]
-            np.subtract(first, pos, out=cols[:, j])
-        if direct:
-            return cols
-        offsets = np.arange(0, len(m) * n, n)[:, None]
-        mask = np.ones(len(m) * n, dtype=bool)
-        mask[cols + offsets] = False
-        rows = np.flatnonzero(mask).reshape(-1, size)
-        rows -= offsets
-        return rows
-
-    return unrank
-
-
-def _screen(n: int, size: int, kernel: RowKernel) -> Iterator[tuple[int, ...]]:
+def _screen(n: int, size: int, kernel: PairKernel) -> Iterator[tuple[int, ...]]:
     """Yield the subsets of size ``size``, in enumeration order, that
     ``_needs_rescore`` selects with the approximate maximum M as target.
 
-    Both passes take their subsets from one ``_unranker``, a batch of
-    whole ``_CHUNK_ROWS`` chunks at a time (about ``_BATCH_ENTRIES``
-    indices, one chunk for large subsets), so the index matrix of all
-    subsets is never built.  The first pass unranks consecutive ranks
-    and calls the kernel on each chunk of the batch.  When M = -inf the
-    first non-NaN subset stands for all of them (see
-    ``gbhpc_enumerate``).  The second pass unranks only the kept ranks.
+    Split at h = n // 2, a subset is an a-subset of studies 0..h-1 and
+    a (size - a)-subset of h..n-1.  For each a the kernel scores the
+    product of the two ``_half`` tables into one array of C(n, size)
+    floats, slices of about ``_BATCH_ENTRIES`` indices at a time.  Kept
+    pairs become ascending tuples a slice at a time, each split's in
+    ``itertools.combinations`` order; a merge of the splits keeps it.
+    When M = -inf the first non-NaN subset of each split is kept: the
+    smallest of them comes first and stands for all of them.
     """
-    unrank = _unranker(n, size)
-    batch = _CHUNK_ROWS * max(1, _BATCH_ENTRIES // (_CHUNK_ROWS * size))
-    approx = np.empty(math.comb(n, size))
-    for start in range(0, len(approx), batch):
-        rows = unrank(np.arange(start, min(start + batch, len(approx))))
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            approx[start + i : start + i + _CHUNK_ROWS] = kernel(rows[i : i + _CHUNK_ROWS])
+    h = n // 2
+    splits = [(_half(0, h, a), _half(h, n, size - a))
+              for a in range(max(0, size - n + h), min(h, size) + 1)]
+    cuts = np.cumsum([rows_a * rows_b for (rows_a, _), (rows_b, _) in splits])
+    approx = np.empty(cuts[-1])
+    for ((rows_a, low), (rows_b, high)), part in zip(splits, np.split(approx, cuts[:-1])):
+        block = part.reshape(rows_a, rows_b)
+        cols = min(rows_b, max(1, _BATCH_ENTRIES // size))
+        step = max(1, _BATCH_ENTRIES // (size * cols))
+        for j in range(0, rows_b, cols):
+            b = high(slice(j, j + cols))
+            for i in range(0, rows_a, step):
+                a = low(slice(i, i + step))
+                block[i : i + step, j : j + cols] = kernel(a, b).reshape(len(a), len(b))
+
+    def pairs(picked: np.ndarray, rows_b: int, low, high) -> Iterator[tuple[int, ...]]:
+        step = max(1, _BATCH_ENTRIES // size)
+        for start in range(0, len(picked), step):
+            i, j = np.divmod(picked[start : start + step], rows_b)
+            yield from map(tuple, np.hstack((low(i), high(j))).tolist())
+
     top = np.fmax.reduce(approx, initial=-math.inf)  # NaN-ignoring max
-    if top == -math.inf:
-        keep = np.isnan(approx)
-        keep[keep.argmin()] = True  # the first non-NaN subset, if any
-    else:
-        keep = _needs_rescore(approx, [top])
-    kept = np.flatnonzero(keep)
-    for start in range(0, len(kept), batch):
-        yield from map(tuple, unrank(kept[start : start + batch]).tolist())
+    keep = np.isnan(approx) if top == -math.inf else _needs_rescore(approx, [top])
+    for part in np.split(keep, cuts[:-1]) if top == -math.inf else ():
+        part[part.argmin()] = True  # and the first non-NaN pair of each split
+    from heapq import merge  # only the screen needs it
+    return merge(*(pairs(np.flatnonzero(part), rows_b, low, high)
+                   for ((_, low), (rows_b, high)), part in zip(splits, np.split(keep, cuts[:-1]))))
 
 
 def gbhpc_enumerate(
@@ -334,24 +314,21 @@ def gbhpc_enumerate(
     Subsets are visited in ``itertools.combinations`` order and the
     first subset attaining the maximum (strict ``>``) gives the result.
     With a factory from ``fixed_subset_combiner`` (any symmetric rule,
-    TPM included) or ``weighted_subset_combiner``, an array kernel first
-    writes an approximate log value per subset into one float array
-    (C(n, r-1) floats, at most 8 MB within the default budget), scoring
-    index rows that ``_unranker`` builds from consecutive ranks a batch
-    at a time.  The scalar rule then scores, in enumeration order with
-    the same strict ``>``, only the subsets ``_needs_rescore`` keeps
-    (unranked again from their ranks) with the maximum M of the non-NaN
-    values as target: NaN ones and those within
-    tol = 1e-9 * (1 + |M|) of M.  A kernel's numbers agree with the
-    scalar rule to far less than tol / 2, so every subset attaining the
-    exact maximum is rescored and the first of them is the one the full
-    scalar loop returns: the same ``ProbValue``, bit for bit.  NaN marks
-    a subset the kernel cannot score: for the weighted rule, one holding
-    a p of 0 or 1, where the scalar rule raises as it always has.  A
-    kernel value is -inf only where the scalar value is -inf too (a p of
-    0; for the weighted rule also log p below about -5e307, past
-    |z| ~ 1e154), so when M = -inf the first non-NaN subset stands for
-    all of them.  Other factories take the scalar loop over every subset.
+    TPM included) or ``weighted_subset_combiner``, ``_screen`` first
+    scores every subset approximately (C(n, r-1) floats, at most 8 MB
+    within the default budget), and the scalar rule scores only the
+    subsets ``_needs_rescore`` keeps with the maximum M of the non-NaN
+    values as target: NaN ones and those within tol = 1e-9 * (1 + |M|)
+    of M.  A kernel's numbers agree with the scalar rule to far less
+    than tol / 2, so every subset attaining the exact maximum is
+    rescored, and the first of them gives the full scalar loop's
+    ``ProbValue``, bit for bit.  NaN marks a subset the kernel cannot
+    score: for the weighted rule, one holding a p of 0 or 1, where the
+    scalar rule raises as it always has.  A kernel value is -inf only
+    where the scalar value is -inf too (a p of 0; for the weighted rule
+    also log p below about -5e307, past |z| ~ 1e154), so when M = -inf
+    the first non-NaN subset stands for all of them.  Other factories
+    take the scalar loop over every subset.
     """
     n = len(ps)
     _check_r(n, r)
@@ -369,11 +346,15 @@ def gbhpc_enumerate(
     return best
 
 
+def _pair_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` over each pair of an a row and a b row, row-major."""
+    return np.add.outer(values[a].sum(axis=1), values[b].sum(axis=1)).ravel()
+
+
 def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
-    """Factory applying one symmetric rule to every subset, with the
-    rule's row form (``rows_for``) as the array form for
-    ``gbhpc_enumerate``.
-    """
+    """Factory applying one symmetric rule to every subset.  Its array
+    form for ``gbhpc_enumerate`` takes Fisher from per-half sums of log p
+    and the other rules from their row form (``rows_for``)."""
     if not spec.is_symmetric:
         raise InputValidationError("fixed_subset_combiner needs a symmetric rule")
     rows = rows_for(spec)
@@ -381,9 +362,13 @@ def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
     def factory(u: tuple[int, ...]) -> SubsetCombiner:
         return lambda p_u: combine(spec, p_u)
 
-    def bind(ps: Sequence[ProbValue]) -> RowKernel:
+    def bind(ps: Sequence[ProbValue]) -> PairKernel:
         log_p = np.array([p.log_value for p in ps])
-        return lambda idx: rows(log_p[idx])
+        if spec.method == "fisher":
+            return lambda a, b: _log_fisher_from_half(
+                -_pair_sums(log_p, a, b), a.shape[1] + b.shape[1])
+        return lambda a, b: rows(np.hstack(
+            (np.repeat(log_p[a], len(b), axis=0), np.tile(log_p[b], (len(a), 1)))))
 
     return _ArrayFactory(factory, bind)
 
@@ -405,11 +390,11 @@ def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
         w_u = [weights[i] for i in u]
         return lambda p_u: combine_stouffer_weighted(p_u, w_u)
 
-    def bind(ps: Sequence[ProbValue]) -> RowKernel:
+    def bind(ps: Sequence[ProbValue]) -> PairKernel:
         if len(ps) != len(weights):
             raise InputValidationError(f"{len(weights)} weights for {len(ps)} p-values")
-        z = _upper_z_rows(np.array([p.log_value for p in ps]))
-        return lambda idx: log_stouffer_rows(z[idx], w[idx])
+        wz, ww = w * _upper_z_rows(np.array([p.log_value for p in ps])), w * w
+        return lambda a, b: _log_stouffer_from_sums(_pair_sums(wz, a, b), _pair_sums(ww, a, b))
 
     return _ArrayFactory(factory, bind)
 
@@ -597,8 +582,11 @@ def pc_curve(
 ) -> PcCurve:
     """PC p-values for every r = 1..n and the confidence set for r.
 
-    The construction is chosen by ``select_construction``.
+    The construction is chosen by ``select_construction``.  With ``g``,
+    every r's enumeration budget is checked before any r is scored.
     """
     method, evaluate = select_construction(ps, alpha, spec=spec, groups=groups, g=g)
+    for r in range(1, len(ps) + 1) if g is not None else ():
+        _check_budget(len(ps), r)
     entries = tuple(PcEntry(r, evaluate(r)) for r in range(1, len(ps) + 1))
     return PcCurve(n=len(ps), method=method, alpha=alpha, entries=entries)

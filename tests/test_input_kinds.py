@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pcmeta.combiners import CombinerSpec, combine_tpm
+from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted, combine_tpm
 from pcmeta.counterexample import region_phi, region_phi_prime, region_phi_tilde
 from pcmeta.errors import InputValidationError, NumericDomainError
 from pcmeta.numerics import ProbValue, chisq_sf
@@ -67,6 +67,12 @@ def test_tpm_gamma_is_a_number(taker, gamma):
 def test_weights_are_numbers(taker, weights):
     with pytest.raises(InputValidationError, match="is not a number"):
         taker(weights)
+
+
+@pytest.mark.parametrize("weights", [[True, 1.0], ["a", 1.0], [1.0, np.bool_(True)]])
+def test_combine_stouffer_weighted_weights_are_numbers(weights):
+    with pytest.raises(InputValidationError, match="is not a number"):
+        combine_stouffer_weighted(PS[:2], weights)
 
 
 @pytest.mark.parametrize("make", [tuple, list, np.array, iter])

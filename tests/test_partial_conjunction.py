@@ -2,7 +2,7 @@
 
 import math
 import time
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -30,8 +30,10 @@ from pcmeta.partial_conjunction import (
     GroupPartition,
     PcCurve,
     PcEntry,
+    _BATCH_ENTRIES,
     _ArrayFactory,
-    _unranker,
+    _half,
+    _screen,
     bhpc,
     bhpc_rows,
     extract_component,
@@ -271,6 +273,8 @@ def assert_array_path_exact(ps, weights, rs=None, names=None):
 # p-values that stress the screen: the {0, 1} edges, a value near the
 # bottom of double range, and a few values that make ties.
 EDGE_PS = (0.0, 1.0, 1e-300, 0.05, 0.5)
+# The empty half-subset: a kernel called with it scores the other table's rows.
+NO_STUDIES = np.empty((1, 0), dtype=np.intp)
 
 
 class TestArrayPath:
@@ -340,8 +344,8 @@ class TestArrayPath:
         def noisy_bind(p_values):
             kernel = fisher.bind(p_values)
 
-            def noisy(idx):
-                v = kernel(idx)
+            def noisy(a, b):
+                v = kernel(a, b)
                 return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1.0 + np.abs(v))
 
             return noisy
@@ -383,7 +387,7 @@ class TestArrayPath:
         ps = pv(0.2, 0.0, 0.05, 1.0, 0.6)
         kernel = weighted_subset_combiner([1.0, 2.0, 0.5, 1.5, 3.0]).bind(ps)
         idx = np.array(list(combinations(range(5), 3)))
-        values = kernel(idx)
+        values = kernel(idx, NO_STUDIES)
         holds_edge = np.isin(idx, [1, 3]).any(axis=1)
         assert np.isnan(values[holds_edge]).all()
         assert np.isfinite(values[~holds_edge]).all()
@@ -395,7 +399,7 @@ class TestArrayPath:
         weights = [1.0, 2.0, 0.5, 1.5, 3.0]
         kernel = weighted_subset_combiner(weights).bind(ps)
         idx = np.array(list(combinations(range(5), 3)))
-        assert np.isnan(kernel(idx)[np.isin(idx, [1, 3]).any(axis=1)]).all()
+        assert np.isnan(kernel(idx, NO_STUDIES)[np.isin(idx, [1, 3]).any(axis=1)]).all()
         assert_array_path_exact(ps, weights, names=("stouffer",))
 
     def test_stouffer_raises_at_zero_and_one(self):
@@ -437,51 +441,89 @@ class TestArrayPath:
         assert calls == []
 
 
-def counted_subset(n, size, rank):
-    """The rank-th subset of range(n) in combinations order, by counting
-    the subsets that start with each smaller element (the reference)."""
-    out, c = [], 0
-    for j in range(size):
-        while rank >= (skipped := math.comb(n - c - 1, size - j - 1)):
-            rank -= skipped
-            c += 1
-        out.append(c)
-        c += 1
-    return out
+class TestSplitScreen:
+    def test_half_tables_in_combinations_order(self, monkeypatch):
+        # Both storages: the subsets themselves, and (past half of the
+        # pool) their complements, expanded once or a slice at a time.
+        for entries in (_BATCH_ENTRIES, 0):
+            monkeypatch.setattr(partial_conjunction, "_BATCH_ENTRIES", entries)
+            for lo, hi in [(0, 0), (0, 1), (0, 6), (3, 10), (9, 18)]:
+                for k in range(hi - lo + 1):
+                    want = np.array(list(combinations(range(lo, hi), k)), dtype=np.intp)
+                    count, rows = _half.__wrapped__(lo, hi, k)  # not the cached table
+                    assert count == len(want)
+                    assert np.array_equal(rows(slice(None)), want.reshape(count, k))
+                    picks = np.random.default_rng(hi + k).integers(0, count, 7)
+                    assert np.array_equal(rows(picks), want.reshape(count, k)[picks])
 
+    def test_all_tied_yields_combinations_order(self):
+        # Every subset ties, so every one is kept: the screen's output is
+        # all subsets, in the order of the scalar loop.
+        for n in range(1, 13):
+            for factory in array_factories([1.0] * n).values():
+                kernel = factory.bind(pv(*[0.3] * n))
+                for size in range(1, n + 1):
+                    assert list(_screen(n, size, kernel)) == list(combinations(range(n), size))
 
-@pytest.fixture(params=[True, False], ids=["direct", "complement"])
-def side(request, monkeypatch):
-    """Unrank on one side for every (n, size), whatever the cost rule says."""
-    monkeypatch.setattr(partial_conjunction, "_unrank_directly", lambda n, size: request.param)
-    return request.param
+    @pytest.mark.parametrize("n, size", [(1000, 999), (40, 5), (22, 11)])
+    def test_kernel_calls_stay_within_batch(self, n, size):
+        calls = []
+
+        def recording(a, b):
+            calls.append(len(a) * len(b))
+            assert len(a) * len(b) * size <= max(size, _BATCH_ENTRIES)
+            assert a.shape[1] + b.shape[1] == size
+            return -np.add.outer(a.sum(axis=1), b.sum(axis=1)).ravel()
+
+        # -(sum of indices) is largest at the first subset alone.
+        assert list(_screen(n, size, recording)) == [tuple(range(size))]
+        assert sum(calls) == math.comb(n, size)
+
+    @pytest.mark.parametrize(
+        "n, size, entries, take",
+        [(1000, 998, _BATCH_ENTRIES, 3000), (30, 27, 256, None), (18, 9, 256, None)],
+    )
+    def test_kept_subsets_built_a_slice_at_a_time(self, monkeypatch, n, size, entries, take):
+        # Every subset ties, so every one is kept.  Each half-table lookup
+        # is checked before it runs: an oversized one fails unbuilt.  At
+        # n = 1000 all 499,500 kept subsets of 998 would take over 10 GB.
+        monkeypatch.setattr(partial_conjunction, "_BATCH_ENTRIES", entries)
+        tables = _half.__wrapped__  # not the cached tables of other sizes
+
+        def checked_half(lo, hi, k):
+            count, rows = tables(lo, hi, k)
+
+            def checked(which):
+                picked = len(range(count)[which]) if isinstance(which, slice) else len(which)
+                assert picked * k <= max(k, entries)
+                return rows(which)
+
+            return count, checked
+
+        monkeypatch.setattr(partial_conjunction, "_half", checked_half)
+        tied = lambda a, b: np.zeros(len(a) * len(b))
+        got = list(islice(_screen(n, size, tied), take))
+        assert got == list(islice(combinations(range(n), size), take))
+
+    def test_minus_inf_keeps_nan_and_the_first_scored_subset_of_each_split(self):
+        # Every 4-subset of 6 holds a p of 0, so each Fisher value is -inf.
+        # Splits at h = 3 take a = 1, 2 and 3 of the studies 0, 1 and 2.
+        ps = pv(0.2, 0.5, 0.9, 0.0, 0.0, 0.0)
+        kernel = fixed_subset_combiner(FISHER).bind(ps)
+        assert list(_screen(6, 4, kernel)) == [(0, 1, 2, 3), (0, 1, 3, 4), (0, 3, 4, 5)]
+        got = gbhpc_enumerate(ps, 3, fixed_subset_combiner(FISHER))
+        assert got.log_value == scalar_max(ps, 3, fixed_subset_combiner(FISHER)).log_value
+
+        def nan_at_zero(a, b):
+            holds_zero = np.repeat((a == 0).any(axis=1), len(b))
+            return np.where(holds_zero, math.nan, -math.inf)
+
+        subsets = list(combinations(range(6), 4))
+        want = [u for u in subsets if 0 in u] + [(1, 2, 3, 4), (1, 3, 4, 5)]
+        assert list(_screen(6, 4, nan_at_zero)) == want
 
 
 class TestUnranker:
-    def test_combinations_order(self, side):
-        for n in range(1, 13):
-            for size in range(1, n + 1):
-                want = np.array(list(combinations(range(n), size)), dtype=np.intp)
-                got = _unranker(n, size)(np.arange(len(want)))
-                assert got.dtype == np.intp and got.flags.c_contiguous
-                assert np.array_equal(got, want), (n, size)
-
-    @pytest.mark.parametrize("n, size", [(1000, 999), (1000, 1), (70, 69), (60, 3), (24, 7)])
-    def test_random_ranks(self, side, n, size):
-        # Both sides at every shape: a table of C(b, i) over all b would
-        # overflow int64 at n = 70 (C(69, 35) > 2**63).
-        total = math.comb(n, size)
-        rng = np.random.default_rng(n + size)
-        ranks = np.concatenate(([0, total - 1], rng.integers(0, total, 40)))
-        got = _unranker(n, size)(ranks)
-        assert got.tolist() == [counted_subset(n, size, int(k)) for k in ranks]
-
-    def test_cost_rule_picks_the_smaller_side(self):
-        assert partial_conjunction._unrank_directly(18, 9)
-        assert partial_conjunction._unrank_directly(1000, 1)
-        assert not partial_conjunction._unrank_directly(18, 13)
-        assert not partial_conjunction._unrank_directly(70, 69)
-
     @pytest.mark.parametrize("n, r", [(70, 2), (70, 3), (1000, 2)])
     def test_large_n_equals_scalar_loop(self, n, r):
         rng = np.random.default_rng(n * r)
@@ -824,6 +866,15 @@ class TestPcCurve:
         assert method == curve.method
         for r in (1, 9, 18):
             assert evaluate(r).log_value == curve.entries[r - 1].p.log_value
+
+    def test_enumeration_budget_checked_for_every_r_first(self):
+        # C(24, r - 1) first exceeds 10**6 at r = 10; no r is scored before.
+        calls = []
+        recording = lambda u: calls.append(u)
+        message = r"C\(24, 9\) = 1307504 subsets exceeds budget 1000000"
+        with pytest.raises(EnumerationBudgetError, match=message):
+            pc_curve(pv(*np.linspace(0.01, 0.99, 24)), 0.05, g=recording)
+        assert calls == []
 
     def test_structured_curve_matches_pointwise(self, bundled_pvalues, bundled_groups):
         curve = pc_curve(bundled_pvalues, 0.05, groups=bundled_groups)
