@@ -66,6 +66,15 @@ def _check_method_options(args) -> None:
         raise InputValidationError("--weights-from applies only to --method stouffer")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputValidationError(f"cannot write {path}: {exc}")
+
+
 def _load_input(path: str):
     records = pio.read_study_csv(path)
     return records, pio.records_to_pvalues(records)
@@ -134,8 +143,7 @@ def cmd_pc(args) -> int:
         print(pio.json_dumps(pio.curve_to_json_dict(curve)))
         return 0
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(pio.curve_to_csv(curve))
+        _write_text(args.csv, pio.curve_to_csv(curve))
         print(f"wrote {args.csv}")
         return 0
     print(f"method: {curve.method}   alpha: {curve.alpha}")
@@ -215,9 +223,7 @@ def cmd_simulate(args) -> int:
         raise InputValidationError("r0 must list at least one non-null count")
     grids = [run_power_map(cfg, mu0_values, sigma0_values) for cfg in configs]
     merged = replace(grids[0], cells=tuple(c for grid in grids for c in grid.cells))
-    text = pio.power_grid_to_csv(merged)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(args.out, pio.power_grid_to_csv(merged))
     print(f"wrote {args.out} ({len(merged.cells)} rows)")
     return 0
 
@@ -227,9 +233,7 @@ def cmd_counterexample(args) -> int:
         raise InputValidationError("--grid must be at least 1 and --mu-max finite")
     mu_grid = list(np.linspace(0.0, args.mu_max, args.grid))
     grids = power_grids_2d(TEST_NAMES, mu_grid, args.alpha, args.reps, args.seed)
-    text = pio.counterexample_grid_to_csv(grids)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(args.out, pio.counterexample_grid_to_csv(grids))
     print(f"wrote {args.out} ({args.grid}x{args.grid} grid, {len(TEST_NAMES)} tests)")
     return 0
 
@@ -237,8 +241,7 @@ def cmd_counterexample(args) -> int:
 def cmd_dataset(args) -> int:
     text = pio.export_bundled_csv(args.view)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

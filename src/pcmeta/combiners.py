@@ -68,9 +68,6 @@ SYMMETRIC_METHODS = frozenset({"fisher", "simes", "bonferroni", "tpm"})
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
-# Rows per array pass in the exact screens: enough to amortise numpy
-# calls, few enough that temporaries stay a few hundred kB.
-_CHUNK_ROWS = 1024
 _RESCORE_RTOL = 1e-9  # the row forms agree to ~1e-13 relative, far inside
 
 
@@ -276,11 +273,9 @@ def _needs_rescore(values: np.ndarray, targets: Sequence[float]) -> np.ndarray:
     those within tol = 1e-9 * (1 + |t|) of any target t.  For every
     other value the scalar value lies on the same side of each target.
     """
-    tol = _RESCORE_RTOL * (1.0 + np.abs(targets))
-    out = np.isnan(values)
-    for start in range(0, len(values), _CHUNK_ROWS):
-        part = values[start : start + _CHUNK_ROWS, None]
-        out[start : start + _CHUNK_ROWS] |= (np.abs(part - targets) <= tol).any(axis=1)
+    out, gap = np.isnan(values), np.empty_like(values)
+    for t, tol in zip(targets, _RESCORE_RTOL * (1.0 + np.abs(targets))):
+        out |= np.abs(np.subtract(values, t, out=gap), out=gap) <= tol
     return out
 
 

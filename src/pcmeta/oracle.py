@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, Iterator, Sequence
 
-from .combiners import _CHUNK_ROWS, _check_gamma, _needs_rescore
+from .combiners import _check_gamma, _needs_rescore
 from .errors import InputValidationError, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
 
@@ -37,6 +37,10 @@ __all__ = [
     "mc_validity",
     "tpm_mc_cdf",
 ]
+
+# Rows per array pass: enough to amortise numpy calls, few enough that
+# temporaries stay a few hundred kB.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ subset p-value is a Fisher combination, and blocks are combined by
 Bonferroni.  It optimizes over per-block kept-counts instead of raw
 subsets (lossless, because Fisher is symmetric and monotone) with a
 dynamic program over (blocks, kept, blocks used), polynomial in n, and
-equals full enumeration bit for bit.
+equals full enumeration bit for bit.  One pass serves a whole curve.
 
 Scanning r = 1..n yields a curve of PC p-values and the level-alpha
 confidence set {r : p_{r/n} <= alpha} for the true non-null count.
@@ -457,26 +457,14 @@ def structured_subset_combiner(groups: GroupPartition) -> SubsetCombinerFactory:
     return factory
 
 
-def structured_gbhpc(
-    ps: Sequence[ProbValue], r: int, groups: GroupPartition
-) -> ProbValue:
-    """Grouped GBHPC p-value by a dynamic program over blocks.
-
-    For kept-counts (c_1..c_m), the best subset keeps the c_i largest
-    p-values of block i (Fisher is monotone and symmetric), so the value
-    is the max over sum c_i = n-r+1 of min(0, log(used) + min over used
-    blocks of F_i(c_i)), with F_i(c) the log Fisher value of the top c
-    of block i.  One pass keeps, per state (kept, blocks used), the
-    largest such min, and drops states that later blocks cannot fill to
-    n-r+1: O(m * n * c) for m blocks of at most c studies.  Bit-exact:
-    min(x, F) and x -> min(0, log(used) + x) are non-decreasing in
-    floating point, so the max per state loses no profile.
-    """
+def _structured_logs(ps: Sequence[ProbValue], groups: GroupPartition,
+                     lo: int, hi: int) -> list[float]:
+    """log p of the grouped rule for each kept count lo..hi, from one
+    pass of the ``structured_gbhpc`` dynamic program that drops only the
+    states later blocks cannot bring into [lo, hi]."""
     n = len(ps)
-    _check_r(n, r)
     if groups.n != n:
         raise InputValidationError(f"partition is over {groups.n} indices, data has {n}")
-    keep = n - r + 1
     best: dict[tuple[int, int], float] = {(0, 0): math.inf}
     left = n
     for block in groups.blocks:
@@ -486,7 +474,7 @@ def structured_gbhpc(
         tops: list[float | None] = [None] * (len(block) + 1)
         step: dict[tuple[int, int], float] = {}
         for (kept, used), low in best.items():
-            for c in range(max(0, keep - left - kept), min(len(block), keep - kept) + 1):
+            for c in range(max(0, lo - left - kept), min(len(block), hi - kept) + 1):
                 if c == 0:
                     state, value = (kept, used), low
                 else:
@@ -498,9 +486,33 @@ def structured_gbhpc(
                 if held is None or value > held:
                     step[state] = value
         best = step
-    return ProbValue.from_log(
-        max(min(0.0, math.log(used) + low) for (_, used), low in best.items())
-    )
+    logs = [-math.inf] * (hi - lo + 1)
+    for (kept, used), low in best.items():
+        logs[kept - lo] = max(logs[kept - lo], min(0.0, math.log(used) + low))
+    return logs
+
+
+def structured_gbhpc(ps: Sequence[ProbValue], r: int, groups: GroupPartition) -> ProbValue:
+    """Grouped GBHPC p-value by a dynamic program over blocks.
+
+    For kept-counts (c_1..c_m), the best subset keeps the c_i largest
+    p-values of block i (Fisher is monotone and symmetric), so the value
+    is the max over sum c_i = n-r+1 of min(0, log(used) + min over used
+    blocks of F_i(c_i)), with F_i(c) the log Fisher value of the top c
+    of block i.  One pass keeps, per state (kept, blocks used), the
+    largest such min, and drops states that later blocks cannot fill to
+    n-r+1: O(m * n * c) for m blocks of at most c studies.  Bit-exact:
+    min(x, F) and x -> min(0, log(used) + x) are non-decreasing in
+    floating point, so the max per state loses no profile.
+
+    ``pc_curve`` runs one pass for every r, pruned to kept counts 1..n:
+    every predecessor of a state that can reach a wanted count can too,
+    so each state is the same exact max over the same profiles in the
+    same order, and every r reads the bits it reads here.
+    """
+    _check_r(len(ps), r)
+    keep = len(ps) - r + 1
+    return ProbValue.from_log(_structured_logs(ps, groups, keep, keep)[0])
 
 
 def extract_component(
@@ -584,9 +596,13 @@ def pc_curve(
 
     The construction is chosen by ``select_construction``.  With ``g``,
     every r's enumeration budget is checked before any r is scored.
+    With ``groups``, one ``structured_gbhpc`` pass scores every r.
     """
     method, evaluate = select_construction(ps, alpha, spec=spec, groups=groups, g=g)
     for r in range(1, len(ps) + 1) if g is not None else ():
         _check_budget(len(ps), r)
+    if groups is not None:  # logs[-r] is kept count n - r + 1
+        logs = _structured_logs(ps, groups, 1, len(ps))
+        evaluate = lambda r: ProbValue.from_log(logs[-r])
     entries = tuple(PcEntry(r, evaluate(r)) for r in range(1, len(ps) + 1))
     return PcCurve(n=len(ps), method=method, alpha=alpha, entries=entries)

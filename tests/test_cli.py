@@ -502,6 +502,24 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(captured.err)["error"] == "NonConvergenceError"
 
+    @pytest.mark.parametrize("command", ["simulate", "counterexample", "pc", "dataset"])
+    def test_unwritable_output_exits_2(self, pvalue_csv, tmp_path, capsys, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mu0_values": [0.1], "sigma0_values": [0.1],
+                                      "r0": [1], "reps": 100}))
+        target = str(tmp_path / "missing" / "out.csv")
+        argv = {
+            "simulate": ["simulate", str(config), "--out", target],
+            "counterexample": ["counterexample", "--grid", "1", "--reps", "100",
+                               "--out", target],
+            "pc": ["pc", pvalue_csv, "--csv", target],
+            "dataset": ["dataset", "--out", target],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "InputValidationError"
+
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCMETA_SEED", "123")
         out1 = tmp_path / "a.csv"

@@ -508,6 +508,31 @@ class TestNeedsRescore:
         values = np.array([targets[0], targets[1] * (1 + 1e-12), -2.0, -np.inf, 0.0])
         assert _needs_rescore(values, targets).tolist() == [True, True, False, False, False]
 
+    @pytest.mark.parametrize("targets", [[0.0], [-2.5], [math.log(0.01), -1e-3]])
+    def test_equals_chunked_rule(self, targets):
+        # The rule before it became one pass per target: 1,024-row chunks,
+        # each compared with every target at once.
+        def chunked(values, targets):
+            tol = 1e-9 * (1.0 + np.abs(targets))
+            out = np.isnan(values)
+            for start in range(0, len(values), 1024):
+                part = values[start : start + 1024, None]
+                out[start : start + 1024] |= (np.abs(part - targets) <= tol).any(axis=1)
+            return out
+
+        edges = [np.nan, -np.inf, 0.0]
+        for t in targets:
+            tol = 1e-9 * (1.0 + abs(t))
+            for v in (t - tol, t + tol):
+                edges += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+            edges.append(t)
+        rng = np.random.default_rng(5)
+        values = rng.choice(np.array(edges), 3000)
+        values[::7] = rng.uniform(-5.0, 0.0, len(values[::7]))
+        got = _needs_rescore(values, targets)
+        assert got.tolist() == chunked(values, targets).tolist()
+        assert got.any() and not got.all()
+
 
 def per_point_exact_log_p(table, convention):
     """The exact test's log p from one ``hypergeom_log_pmf`` call per

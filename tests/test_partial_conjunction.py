@@ -704,6 +704,32 @@ class TestStructured:
             got = structured_gbhpc(ps, r, groups)
             assert got.log_value == want[len(ps) - r + 1], r
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(GROUPED_PS, st.integers(0, 5)), min_size=1, max_size=12))
+    def test_curve_equals_structured_gbhpc(self, rows):
+        # One pass serves every r of the curve, bit for bit as each r alone.
+        values, labels = zip(*rows)
+        groups = GroupPartition.from_labels([str(b) for b in labels])
+        ps = pv(*values)
+        curve = pc_curve(ps, 0.05, groups=groups)
+        for e in curve.entries:
+            want = structured_gbhpc(ps, e.r, groups)
+            assert repr((e.p.log_value, e.p.linear)) == repr((want.log_value, want.linear)), e.r
+
+    def test_curve_scores_each_block_top_once(self, monkeypatch):
+        calls = []
+
+        def counting(logs):
+            calls.append(tuple(logs))
+            return log_fisher(logs)
+
+        monkeypatch.setattr(partial_conjunction, "log_fisher", counting)
+        rng = np.random.default_rng(29)
+        groups = GroupPartition.from_labels([f"b{b}" for b in rng.integers(0, 4, 12)])
+        pc_curve(pv(*rng.random(12)), 0.05, groups=groups)
+        # Distinct p-values: each (block, c) has its own argument.
+        assert len(set(calls)) == len(calls) <= 12
+
     def test_thirty_blocks_of_three_stay_polynomial(self):
         # Exponential in the number of blocks when profiles are enumerated;
         # the curve at n = 90 takes about a second.
