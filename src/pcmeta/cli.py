@@ -45,16 +45,12 @@ def _default_seed() -> int:
 
 
 def _build_spec(method: str, gamma: float | None, weights=None) -> CombinerSpec:
-    if method not in CLI_METHODS:
-        raise InputValidationError(f"unknown method {method!r}; pick from {CLI_METHODS}")
     if method == "tpm":
         if gamma is None:
             raise InputValidationError("--method tpm requires --gamma")
         return CombinerSpec("tpm", tpm_gamma=gamma)
     if method == "stouffer":
-        if weights is None:
-            raise InputValidationError("stouffer requires weights")
-        return CombinerSpec("stouffer_weighted", weights=tuple(weights))
+        return CombinerSpec("stouffer_weighted", weights=weights)
     return CombinerSpec(method)
 
 
@@ -64,6 +60,17 @@ def _check_method_options(args) -> None:
         raise InputValidationError("--gamma applies only to --method tpm")
     if getattr(args, "weights_from", None) is not None and args.method != "stouffer":
         raise InputValidationError("--weights-from applies only to --method stouffer")
+
+
+def _check_out_path(path: str) -> None:
+    """Refuse, before any work, an output path that is a directory (the
+    empty path is the working one) or whose parent is missing or not a
+    directory.  Opens nothing."""
+    full = os.path.abspath(path)
+    if os.path.isdir(full):
+        raise InputValidationError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(full)):
+        raise InputValidationError(f"cannot write {path}: its parent is not a directory")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -105,6 +112,10 @@ def cmd_combine(args) -> int:
 
 
 def cmd_pc(args) -> int:
+    if args.csv is not None:
+        if args.json or args.r is not None:
+            raise InputValidationError("--csv writes the whole curve; it takes no --json or --r")
+        _check_out_path(args.csv)
     _check_method_options(args)
     records, ps = _load_input(args.input)
     n = len(ps)
@@ -165,8 +176,6 @@ def cmd_exact2x2(args) -> int:
     records = pio.read_study_csv(args.input)
     rows = []
     for rec in records:
-        if not rec.has_counts:
-            raise InputValidationError(f"{rec.study_id}: no counts on this row")
         res = fisher_exact_2x2(rec.count_table(), convention=args.convention)
         rows.append((rec.study_id, res.odds_ratio, res.p_value))
     if args.json:
@@ -190,6 +199,7 @@ _SIM_KEYS = ("mu0_values", "sigma0_values", "r0", "reps", "seed") + _SIM_FIELDS
 
 
 def cmd_simulate(args) -> int:
+    _check_out_path(args.out)
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -229,6 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    _check_out_path(args.out)
     if args.grid < 1 or not math.isfinite(args.mu_max):
         raise InputValidationError("--grid must be at least 1 and --mu-max finite")
     mu_grid = list(np.linspace(0.0, args.mu_max, args.grid))
@@ -239,12 +250,12 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    text = pio.export_bundled_csv(args.view)
-    if args.out:
-        _write_text(args.out, text)
+    if args.out is not None:
+        _check_out_path(args.out)
+        _write_text(args.out, pio.export_bundled_csv(args.view))
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(pio.export_bundled_csv(args.view))
     return 0
 
 
@@ -257,7 +268,7 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 def cmd_oracle_validity(args) -> int:
     _check_method_options(args)
-    z_means = _parse_float_list(args.z_means, "--z-means") if args.z_means else None
+    z_means = None if args.z_means is None else _parse_float_list(args.z_means, "--z-means")
     k = args.k if z_means is None else len(z_means)
     if k is None:
         raise InputValidationError("pass --k or --z-means")

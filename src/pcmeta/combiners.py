@@ -9,7 +9,7 @@ arithmetic is done on log p-values.
 Every rule also has a row-wise array form (``log_*_rows``) that takes a
 (rows, k) array of log p-values and agrees with the scalar rule to
 roundoff, not bit for bit, or gives NaN where it cannot score a row;
-``rows_for(spec)`` returns the one for a ``CombinerSpec``.  Subset
+``combine`` and ``rows_for`` read one table of (scalar, row) forms.  Subset
 enumeration and the Monte Carlo validity oracle score with them, and
 both leave to the scalar rules, which stay exact (``combine_fisher``
 equals ``chisq_sf`` bit for bit), the rows that one rescoring rule,
@@ -62,7 +62,6 @@ __all__ = [
     "fisher_exact_2x2",
 ]
 
-METHODS = ("fisher", "simes", "bonferroni", "stouffer_weighted", "tpm")
 # Rules whose value depends only on the multiset of inputs.
 SYMMETRIC_METHODS = frozenset({"fisher", "simes", "bonferroni", "tpm"})
 
@@ -101,19 +100,6 @@ class CombinerSpec:
     @property
     def is_symmetric(self) -> bool:
         return self.method in SYMMETRIC_METHODS
-
-
-def combine(spec: CombinerSpec, ps: Sequence[ProbValue]) -> ProbValue:
-    """Apply the rule described by ``spec`` to ``ps``."""
-    if spec.method == "fisher":
-        return combine_fisher(ps)
-    if spec.method == "simes":
-        return combine_simes(ps)
-    if spec.method == "bonferroni":
-        return combine_bonferroni(ps)
-    if spec.method == "stouffer_weighted":
-        return combine_stouffer_weighted(ps, spec.weights)
-    return combine_tpm(ps, spec.tpm_gamma)
 
 
 def _require_nonempty(ps: Sequence[ProbValue]) -> None:
@@ -211,13 +197,8 @@ def log_tpm_rows(log_p: np.ndarray, gamma: float) -> np.ndarray:
     log_gamma = math.log(gamma)
     below = log_p <= log_gamma
     log_w = np.where(below, log_p, 0.0).sum(axis=1)
-    log_1mg = math.log1p(-gamma) if gamma < 1.0 else _NEG_INF
-    terms = np.empty((rows, L))
-    for k in range(1, L + 1):
-        if k < L and log_1mg == _NEG_INF:
-            terms[:, k - 1] = _NEG_INF
-            continue
-        base = log_comb(L, k) + (0.0 if k == L else (L - k) * log_1mg)
+    terms = np.full((rows, L), _NEG_INF)
+    for k, base in _tpm_bases(L, gamma):
         inside = log_w <= k * log_gamma
         x = np.where(inside, k * log_gamma - log_w, 0.0)
         head = _log_poisson_head_rows(x, k)
@@ -244,28 +225,13 @@ def _upper_z_rows(log_p: np.ndarray) -> np.ndarray:
     return z
 
 
-def _log_stouffer_p_rows(log_p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _log_stouffer_p_rows(log_p: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Row-wise ``combine_stouffer_weighted`` from log p-values; NaN for
     the rows holding a p that ``_upper_z_rows`` maps to NaN."""
     if len(weights) != log_p.shape[1]:
         raise InputValidationError(f"{len(weights)} weights for {log_p.shape[1]} p-values")
     z = _upper_z_rows(log_p)
     return log_stouffer_rows(z, np.broadcast_to(weights, z.shape))
-
-
-def rows_for(spec: CombinerSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The row form of ``spec``'s rule: a (rows, k) array of log p-values
-    to the approximate log combined p of each row."""
-    if spec.method == "tpm":
-        return lambda log_p: log_tpm_rows(log_p, spec.tpm_gamma)
-    if spec.method == "stouffer_weighted":
-        weights = np.array(spec.weights)
-        return lambda log_p: _log_stouffer_p_rows(log_p, weights)
-    return {
-        "fisher": log_fisher_rows,
-        "simes": log_simes_rows,
-        "bonferroni": log_bonferroni_rows,
-    }[spec.method]
 
 
 def _needs_rescore(values: np.ndarray, targets: Sequence[float]) -> np.ndarray:
@@ -365,19 +331,46 @@ def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:
     log_w = math.fsum(truncated)
     if log_w == _NEG_INF:
         return ProbValue.zero()
-    # log(1 - gamma); the (L-k) multiplier is 0 whenever this is -inf.
-    log_1mg = math.log1p(-gamma) if gamma < 1.0 else _NEG_INF
     terms: list[float] = []
-    for k in range(1, L + 1):
-        if k < L and log_1mg == _NEG_INF:
-            continue
-        base = log_comb(L, k) + (0.0 if k == L else (L - k) * log_1mg)
+    for k, base in _tpm_bases(L, gamma):
         if log_w <= k * log_gamma:
             inner = _log_poisson_head(k * log_gamma - log_w, k)
             terms.append(base + log_w + inner)
         else:
             terms.append(base + k * log_gamma)
     return ProbValue.from_log(min(0.0, log_sum_exp(terms)))
+
+
+def _tpm_bases(L: int, gamma: float) -> list[tuple[int, float]]:
+    """(k, log C(L, k) + (L-k) log(1 - gamma)) for the terms of the TPM sum,
+    k = 1..L, or only k = L at gamma = 1, where (1 - gamma)^(L-k) is 0."""
+    log_1mg = math.log1p(-gamma) if gamma < 1.0 else _NEG_INF
+    return [(k, log_comb(L, k) + (0.0 if k == L else (L - k) * log_1mg))
+            for k in range(1 if gamma < 1.0 else L, L + 1)]
+
+
+# method -> (scalar rule, row form, the CombinerSpec field both also take)
+_RULES = {
+    "fisher": (combine_fisher, log_fisher_rows, None),
+    "simes": (combine_simes, log_simes_rows, None),
+    "bonferroni": (combine_bonferroni, log_bonferroni_rows, None),
+    "stouffer_weighted": (combine_stouffer_weighted, _log_stouffer_p_rows, "weights"),
+    "tpm": (combine_tpm, log_tpm_rows, "tpm_gamma"),
+}
+METHODS = tuple(_RULES)
+
+
+def combine(spec: CombinerSpec, ps: Sequence[ProbValue]) -> ProbValue:
+    """Apply the rule described by ``spec`` to ``ps``."""
+    scalar, _, field = _RULES[spec.method]
+    return scalar(ps) if field is None else scalar(ps, getattr(spec, field))
+
+
+def rows_for(spec: CombinerSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The row form of ``spec``'s rule: a (rows, k) array of log p-values
+    to the approximate log combined p of each row."""
+    _, rows, field = _RULES[spec.method]
+    return rows if field is None else lambda log_p: rows(log_p, getattr(spec, field))
 
 
 @dataclass(frozen=True)

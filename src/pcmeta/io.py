@@ -112,6 +112,15 @@ def _parse_optional(raw: str | None, kind, field: str, study: str):
         raise InputValidationError(f"{study}: bad {field} value {raw!r}") from exc
 
 
+def _parse_p(raw: str | None, study: str) -> float | None:
+    """The p column.  A nonzero literal that underflows to 0 is refused:
+    a p of 0 claims infinite evidence."""
+    p = _parse_optional(raw, float, "p", study)
+    if p == 0.0 and any(c in "123456789" for c in raw.lower().partition("e")[0]):
+        raise InputValidationError(f"{study}: p value {raw.strip()!r} underflows to 0")
+    return p
+
+
 def parse_study_rows(rows: Iterable[dict[str, str]]) -> list[StudyRecord]:
     records = []
     for i, row in enumerate(rows):
@@ -124,7 +133,7 @@ def parse_study_rows(rows: Iterable[dict[str, str]]) -> list[StudyRecord]:
             StudyRecord(
                 study_id=study,
                 group_factor=group,
-                p=_parse_optional(row.get("p"), float, "p", study),
+                p=_parse_p(row.get("p"), study),
                 events_a=_parse_optional(row.get("events_a"), int, "events_a", study),
                 total_a=_parse_optional(row.get("total_a"), int, "total_a", study),
                 events_b=_parse_optional(row.get("events_b"), int, "events_b", study),

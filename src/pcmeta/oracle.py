@@ -10,11 +10,11 @@ simulation.
 
 Both oracles count over one chunked null stream, ``_null_chunks`` (the
 same numbers as one draw of every row), so memory does not grow with
-the replicate count.  In ``mc_validity`` a plain rule is called once
-per row; a ``BatchedRule``'s row form scores the whole chunk and its
-scalar rule rescores only the rows that ``combiners._needs_rescore``
-selects, as in ``gbhpc_enumerate``, so the estimates are the plain
-rule's.  ``tpm_mc_cdf`` reads the uniform stream of ``NullConfig(L)``.
+the replicate count.  ``mc_validity`` scores every rule in one loop: a
+row form scores the chunk, NaN on every row for a plain rule, and the
+scalar rule rescores the rows that ``combiners._needs_rescore`` selects,
+as in ``gbhpc_enumerate``, so the estimates are the scalar rule's.
+``tpm_mc_cdf`` reads the uniform stream of ``NullConfig(L)``.
 """
 
 from __future__ import annotations
@@ -119,10 +119,11 @@ def mc_validity(
     """Empirical rejection rates of ``rule`` under the supplied null.
 
     The replicates are drawn, clipped to log p <= 0 and scored in chunks
-    of ``_CHUNK_ROWS`` rows.  A plain rule is called once per row.  A
-    ``BatchedRule`` scores each chunk with its row form, and its scalar
-    rule rescores every row that ``_needs_rescore`` selects: NaN, or
-    within 1e-9 * (1 + |log alpha|) of any log alpha.  Every other row's
+    of ``_CHUNK_ROWS`` rows.  A ``BatchedRule`` scores each chunk with
+    its row form, and its scalar rule rescores every row that
+    ``_needs_rescore`` selects: NaN, or within 1e-9 * (1 + |log alpha|)
+    of any log alpha.  A plain rule is scored as a row form that gives
+    NaN on every row, so it is called once per row.  Every other row's
     approximate value lies on the same side of each log alpha as its
     exact value, so the estimates equal the scalar rule's.  Returns one
     estimate per alpha, each carrying the 3-standard-error acceptance
@@ -135,15 +136,14 @@ def mc_validity(
         raise InputValidationError("alphas must lie in (0, 1)")
     # Looked up per call, so that a wrapper installed on the class is seen.
     from_log = ProbValue.from_log
-    scalar, rows = (rule.scalar, rule.rows) if isinstance(rule, BatchedRule) else (rule, None)
+    if not isinstance(rule, BatchedRule):  # its row form: NaN, "score exactly", on every row
+        rule = BatchedRule(rule, lambda log_p: np.full(len(log_p), math.nan))
+    scalar, rows = rule.scalar, rule.rows
     targets = np.array([math.log(alpha) for alpha in alpha_list])
     hits = np.zeros(len(targets), dtype=np.int64)
     for chunk in _null_chunks(null_config, reps, seed):
-        if rows is None:
-            values, exact = np.empty(len(chunk)), np.arange(len(chunk))
-        else:
-            values = np.array(rows(chunk), dtype=float)
-            exact = np.flatnonzero(_needs_rescore(values, targets))
+        values = np.array(rows(chunk), dtype=float)
+        exact = np.flatnonzero(_needs_rescore(values, targets))
         for i, row in zip(exact.tolist(), chunk[exact].tolist()):
             values[i] = scalar([from_log(v) for v in row]).log_value
         hits += (values[:, None] <= targets).sum(axis=0)

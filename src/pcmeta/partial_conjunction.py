@@ -10,12 +10,11 @@ constructions are implemented:
   valid combiners g_u over all subsets u of size n-r+1.  Non-symmetric
   g_u (e.g. a weighted z-rule with weights bound to study indices) are
   expressed through a factory that receives the original indices.  The
-  library factories ``fixed_subset_combiner`` and
-  ``weighted_subset_combiner`` also carry an array form, which scores
-  every subset as a pair of half-subsets from two small tables; the
-  scalar rule rescores only those that ``combiners._needs_rescore``
-  selects, so the result stays exact.  Other factories run the scalar
-  loop over ``itertools.combinations``.
+  library factories build one rule per ``CombinerSpec``, ``_SubsetRule``,
+  whose array form scores every subset as a pair of half-subsets from
+  two small tables; the scalar rule rescores only those that
+  ``combiners._needs_rescore`` selects, so the result stays exact.
+  Other factories run the scalar loop over ``itertools.combinations``.
 
 Monte Carlo studies use the row forms ``bhpc_rows`` and
 ``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
@@ -216,22 +215,6 @@ def bhpc_rows(log_p: np.ndarray, r: int, spec: CombinerSpec) -> np.ndarray:
     return (_log_simes_sorted_rows if spec.method == "simes" else rows_for(spec))(kept)
 
 
-@dataclass(frozen=True)
-class _ArrayFactory:
-    """A subset-combiner factory that can also score subsets in bulk.
-
-    Called with a subset it returns the scalar combiner, like any
-    factory.  ``bind(ps)`` returns a ``PairKernel`` for these p-values,
-    NaN for the subsets it cannot score.
-    """
-
-    scalar: SubsetCombinerFactory
-    bind: Callable[[Sequence[ProbValue]], PairKernel]
-
-    def __call__(self, u: tuple[int, ...]) -> SubsetCombiner:
-        return self.scalar(u)
-
-
 @lru_cache(maxsize=32)  # every half-table of a curve up to n = 30
 def _half(lo: int, hi: int, k: int) -> tuple[int, Callable[..., np.ndarray]]:
     """The k-subsets of range(lo, hi) in ``itertools.combinations`` order:
@@ -334,7 +317,7 @@ def gbhpc_enumerate(
     _check_r(n, r)
     _check_budget(n, r, budget)
     size = n - r + 1
-    if isinstance(g, _ArrayFactory):
+    if isinstance(g, _SubsetRule):
         subsets = _screen(n, size, g.bind(ps))
     else:
         subsets = combinations(range(n), size)
@@ -351,52 +334,54 @@ def _pair_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.outer(values[a].sum(axis=1), values[b].sum(axis=1)).ravel()
 
 
-def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
-    """Factory applying one symmetric rule to every subset.  Its array
-    form for ``gbhpc_enumerate`` takes Fisher from per-half sums of log p
-    and the other rules from their row form (``rows_for``)."""
-    if not spec.is_symmetric:
-        raise InputValidationError("fixed_subset_combiner needs a symmetric rule")
-    rows = rows_for(spec)
+@dataclass(frozen=True)
+class _SubsetRule:
+    """The subset rule g_u of one ``CombinerSpec``: called with a subset u
+    it returns the scalar combiner, with any weights restricted to u.
+    ``bind(ps)`` returns a ``PairKernel``: Fisher from per-half sums of
+    log p, the weighted z-rule from per-half sums of w * z and w^2 (z
+    from ``combiners._upper_z_rows``, NaN for a p of 0 or within 1e-6 of
+    1, so the scalar rule raises on those subsets as it always has), and
+    the other rules from ``rows_for`` on the paired rows."""
 
-    def factory(u: tuple[int, ...]) -> SubsetCombiner:
-        return lambda p_u: combine(spec, p_u)
+    spec: CombinerSpec
 
-    def bind(ps: Sequence[ProbValue]) -> PairKernel:
-        log_p = np.array([p.log_value for p in ps])
+    def __call__(self, u: tuple[int, ...]) -> SubsetCombiner:
+        spec = self.spec
+        if spec.weights is None:
+            return lambda p_u: combine(spec, p_u)
+        w_u = [spec.weights[i] for i in u]
+        return lambda p_u: combine_stouffer_weighted(p_u, w_u)
+
+    def bind(self, ps: Sequence[ProbValue]) -> PairKernel:
+        spec, log_p = self.spec, np.array([p.log_value for p in ps])
         if spec.method == "fisher":
             return lambda a, b: _log_fisher_from_half(
                 -_pair_sums(log_p, a, b), a.shape[1] + b.shape[1])
+        if spec.method == "stouffer_weighted":
+            w = np.array(spec.weights)
+            if len(ps) != len(w):
+                raise InputValidationError(f"{len(w)} weights for {len(ps)} p-values")
+            wz, ww = w * _upper_z_rows(log_p), w * w
+            return lambda a, b: _log_stouffer_from_sums(_pair_sums(wz, a, b), _pair_sums(ww, a, b))
+        rows = rows_for(spec)
         return lambda a, b: rows(np.hstack(
             (np.repeat(log_p[a], len(b), axis=0), np.tile(log_p[b], (len(a), 1)))))
 
-    return _ArrayFactory(factory, bind)
+
+def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
+    """Factory applying one symmetric rule to every subset."""
+    if not spec.is_symmetric:
+        raise InputValidationError("fixed_subset_combiner needs a symmetric rule")
+    return _SubsetRule(spec)
 
 
 def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
     """Factory for the weighted z-rule with weights bound to studies:
     subset u is combined with the weights ``weights[i]`` for i in u.
-
-    The array form computes z_i = Phi^{-1}(1 - p_i) once per study with
-    ``combiners._upper_z_rows``, NaN for a p of 0 or 1 (or within 1e-6
-    of 1), so every subset holding one is rescored and the scalar rule
-    raises on it as it always has.  Binding it to other than one p-value
-    per weight raises before any subset is scored.
-    """
-    weights = _check_weights(weights)
-    w = np.array(weights)
-
-    def factory(u: tuple[int, ...]) -> SubsetCombiner:
-        w_u = [weights[i] for i in u]
-        return lambda p_u: combine_stouffer_weighted(p_u, w_u)
-
-    def bind(ps: Sequence[ProbValue]) -> PairKernel:
-        if len(ps) != len(weights):
-            raise InputValidationError(f"{len(weights)} weights for {len(ps)} p-values")
-        wz, ww = w * _upper_z_rows(np.array([p.log_value for p in ps])), w * w
-        return lambda a, b: _log_stouffer_from_sums(_pair_sums(wz, a, b), _pair_sums(ww, a, b))
-
-    return _ArrayFactory(factory, bind)
+    Binding it to other than one p-value per weight raises before any
+    subset is scored."""
+    return _SubsetRule(CombinerSpec("stouffer_weighted", weights=weights))
 
 
 def weighted_gbhpc_rows(log_p: np.ndarray, r: int, weights: Sequence[float]) -> np.ndarray:

@@ -506,11 +506,11 @@ class TestExitCodes:
     def test_unwritable_output_exits_2(self, pvalue_csv, tmp_path, capsys, command):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"mu0_values": [0.1], "sigma0_values": [0.1],
-                                      "r0": [1], "reps": 100}))
+                                      "r0": [1], "reps": 1000}))
         target = str(tmp_path / "missing" / "out.csv")
         argv = {
             "simulate": ["simulate", str(config), "--out", target],
-            "counterexample": ["counterexample", "--grid", "1", "--reps", "100",
+            "counterexample": ["counterexample", "--grid", "1", "--reps", "10000",
                                "--out", target],
             "pc": ["pc", pvalue_csv, "--csv", target],
             "dataset": ["dataset", "--out", target],
@@ -519,6 +519,47 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert json.loads(err)["error"] == "InputValidationError"
+        assert target in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("where", ["missing", "directory", "file"])
+    def test_output_path_checked_before_the_work(self, tmp_path, capsys, monkeypatch, where):
+        def boom(*a, **k):
+            raise AssertionError("run_power_map called with an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_power_map", boom)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mu0_values": [0.1], "sigma0_values": [0.1],
+                                      "r0": [1], "reps": 1000}))
+        (tmp_path / "file").write_text("kept\n")
+        target = {"missing": tmp_path / "missing" / "s.csv", "directory": tmp_path,
+                  "file": tmp_path / "file" / "s.csv"}[where]
+        code, out, err = run_cli(capsys, "simulate", str(config), "--out", str(target))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith(f"cannot write {target}")
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("extra", [["--json"], ["--r", "3"]])
+    def test_pc_csv_refused_with_json_or_r(self, pvalue_csv, tmp_path, capsys, extra):
+        target = tmp_path / "c.csv"
+        code, out, err = run_cli(capsys, "pc", pvalue_csv, *extra, "--csv", str(target))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InputValidationError"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("literal", ["1e-400", "-2.5e-330", " 1E-999"])
+    def test_underflowing_p_refused(self, tmp_path, capsys, literal):
+        path = tmp_path / "u.csv"
+        path.write_text(f"study_id,p\nsmall,{literal}\nb,0.3\n")
+        code, out, err = run_cli(capsys, "combine", str(path), "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith("small: p value")
+
+    def test_zero_and_subnormal_p_accepted(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("study_id,p\na,0\nb,0.0\nc,-0\nd,0e5\ne,1e-310\n")
+        ps = [r.p for r in pio.read_study_csv(str(path))]
+        assert ps[:4] == [0.0] * 4 and ps[4] == 1e-310
 
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCMETA_SEED", "123")

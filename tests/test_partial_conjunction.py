@@ -31,7 +31,7 @@ from pcmeta.partial_conjunction import (
     PcCurve,
     PcEntry,
     _BATCH_ENTRIES,
-    _ArrayFactory,
+    _SubsetRule,
     _half,
     _screen,
     bhpc,
@@ -341,16 +341,17 @@ class TestArrayPath:
         ps = pv(*(0.3 * (1.0 - 1e-15 * np.arange(14))))
         fisher = fixed_subset_combiner(FISHER)
 
-        def noisy_bind(p_values):
-            kernel = fisher.bind(p_values)
+        class Noisy(_SubsetRule):
+            def bind(self, p_values):
+                kernel = super().bind(p_values)
 
-            def noisy(a, b):
-                v = kernel(a, b)
-                return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1.0 + np.abs(v))
+                def noisy(a, b):
+                    v = kernel(a, b)
+                    return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1.0 + np.abs(v))
 
-            return noisy
+                return noisy
 
-        factory = _ArrayFactory(fisher, noisy_bind)
+        factory = Noisy(FISHER)
         for r in (2, 5, 8, 11):
             got = gbhpc_enumerate(ps, r, factory)
             want = scalar_max(ps, r, fisher)
