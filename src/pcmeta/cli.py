@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input validation error, 3 numeric
-non-convergence.  Errors go to stderr as a one-line JSON object; with
-``--json`` stdout carries nothing but the result document.  Every
-random command takes ``--seed`` (default: the PCMETA_SEED environment
-variable, else 0), and a fixed seed yields byte-identical output files.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 input validation error, 3 numeric non-convergence.  Errors go to
+stderr as a one-line JSON object; with ``--json`` stdout carries
+nothing but the result document.  Every random command takes ``--seed``
+(default: the PCMETA_SEED environment variable, else 0), and a fixed
+seed yields byte-identical output files.  ``main`` builds the parser
+once per process; the parser holds each handler's name, and ``main``
+looks the handler up in this module when it dispatches.
 """
 
 from __future__ import annotations
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None, help="TPM truncation point")
     p.add_argument("--weights-from", choices=["n_sample"], default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_combine)
+    p.set_defaults(func="cmd_combine")
 
     p = sub.add_parser("pc", help="partial-conjunction p-values and confidence set")
     p.add_argument("input")
@@ -355,20 +358,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", default=None, help="write the curve to this CSV file")
-    p.set_defaults(func=cmd_pc)
+    p.set_defaults(func="cmd_pc")
 
     p = sub.add_parser("exact2x2", help="per-row 2x2 exact tests")
     p.add_argument("input", help="study CSV with count rows")
     p.add_argument("--convention", default="min_likelihood",
                    choices=["min_likelihood", "doubling"])
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_exact2x2)
+    p.set_defaults(func="cmd_exact2x2")
 
     p = sub.add_parser("simulate", help="power maps for the 8-study design")
     p.add_argument("config", help="JSON config file")
     p.add_argument("--out", required=True, help="output CSV path")
     add_seed(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("counterexample",
                        help="power grids for the non-monotone 2-study tests")
@@ -378,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20000)
     p.add_argument("--out", required=True)
     add_seed(p)
-    p.set_defaults(func=cmd_counterexample)
+    p.set_defaults(func="cmd_counterexample")
 
     p = sub.add_parser("dataset", help="export the bundled subgroup dataset")
     p.add_argument("--view", default="pvalues", choices=["pvalues", "counts", "full"])
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_dataset)
+    p.set_defaults(func="cmd_dataset")
 
     p = sub.add_parser("oracle", help="Monte Carlo verification backends")
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--reps", type=int, default=100000)
     q.add_argument("--json", action="store_true")
     add_seed(q)
-    q.set_defaults(func=cmd_oracle_validity)
+    q.set_defaults(func="cmd_oracle_validity")
 
     q = osub.add_parser("tpm-cdf", help="empirical truncated-product null CDF")
     q.add_argument("--l", type=int, required=True, help="number of uniforms")
@@ -409,24 +412,37 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--reps", type=int, default=1000000)
     q.add_argument("--json", action="store_true")
     add_seed(q)
-    q.set_defaults(func=cmd_oracle_tpm)
+    q.set_defaults(func="cmd_oracle_tpm")
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         if getattr(args, "seed", 0) < 0:
             raise InputValidationError(f"seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        code = globals()[args.func](args)
+        sys.stdout.flush()
+        return code
     except PcmetaError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3 if isinstance(exc, NonConvergenceError) else 2
+    except BrokenPipeError:  # reader gone: the flush at exit goes to devnull
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return 1
 
 
 if __name__ == "__main__":

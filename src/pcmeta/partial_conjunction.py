@@ -450,30 +450,32 @@ def _structured_logs(ps: Sequence[ProbValue], groups: GroupPartition,
     n = len(ps)
     if groups.n != n:
         raise InputValidationError(f"partition is over {groups.n} indices, data has {n}")
-    best: dict[tuple[int, int], float] = {(0, 0): math.inf}
+    best: dict[int, dict[int, float]] = {0: {0: math.inf}}  # kept -> {used: low}
     left = n
     for block in groups.blocks:
         desc = sorted([ps[i].log_value for i in block], reverse=True)
         left -= len(block)
         # tops[c]: log Fisher of the c largest, computed when first needed.
         tops: list[float | None] = [None] * (len(block) + 1)
-        step: dict[tuple[int, int], float] = {}
-        for (kept, used), low in best.items():
+        step: dict[int, dict[int, float]] = {}
+        for kept, row in best.items():
             for c in range(max(0, lo - left - kept), min(len(block), hi - kept) + 1):
-                if c == 0:
-                    state, value = (kept, used), low
-                else:
+                target = step.setdefault(kept + c, {})
+                if c:
                     top = tops[c]
                     if top is None:
                         top = tops[c] = log_fisher(desc[:c])
-                    state, value = (kept + c, used + 1), min(low, top)
-                held = step.get(state)
-                if held is None or value > held:
-                    step[state] = value
+                for used, low in row.items():
+                    if c:
+                        used, low = used + 1, min(low, top)
+                    held = target.get(used)
+                    if held is None or low > held:
+                        target[used] = low
         best = step
     logs = [-math.inf] * (hi - lo + 1)
-    for (kept, used), low in best.items():
-        logs[kept - lo] = max(logs[kept - lo], min(0.0, math.log(used) + low))
+    for kept, row in best.items():
+        for used, low in row.items():
+            logs[kept - lo] = max(logs[kept - lo], min(0.0, math.log(used) + low))
     return logs
 
 
@@ -484,9 +486,10 @@ def structured_gbhpc(ps: Sequence[ProbValue], r: int, groups: GroupPartition) ->
     p-values of block i (Fisher is monotone and symmetric), so the value
     is the max over sum c_i = n-r+1 of min(0, log(used) + min over used
     blocks of F_i(c_i)), with F_i(c) the log Fisher value of the top c
-    of block i.  One pass keeps, per state (kept, blocks used), the
-    largest such min, and drops states that later blocks cannot fill to
-    n-r+1: O(m * n * c) for m blocks of at most c studies.  Bit-exact:
+    of block i.  One pass keeps, per kept count, a row mapping blocks
+    used to the largest such min (so each (kept, c) finds its target
+    row once), and drops the kept counts that later blocks cannot fill
+    to n-r+1: O(m * n * c) for m blocks of at most c studies.  Bit-exact:
     min(x, F) and x -> min(0, log(used) + x) are non-decreasing in
     floating point, so the max per state loses no profile.
 

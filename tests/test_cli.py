@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from pcmeta import io as pio
 from pcmeta.counterexample import power_grid_2d
 from pcmeta.errors import InputValidationError, NonConvergenceError
 from pcmeta.numerics import ProbValue
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -561,6 +567,22 @@ class TestExitCodes:
         ps = [r.p for r in pio.read_study_csv(str(path))]
         assert ps[:4] == [0.0] * 4 and ps[4] == 1e-310
 
+    @pytest.mark.parametrize("argv", [["dataset"], ["pc", "noac.csv", "--json"]])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, argv):
+        (tmp_path / "noac.csv").write_text(pio.export_bundled_csv("pvalues"))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader before the command writes anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from pcmeta import cli; "
+                 "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCMETA_SEED", "123")
         out1 = tmp_path / "a.csv"
@@ -571,3 +593,30 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "counterexample", "--grid", "3", "--reps",
                                "10000", "--out", str(tmp_path / "b.csv"))
         assert code == 2
+
+
+class TestParserReuse:
+    def test_second_call_shares_no_state(self, pvalue_csv, tmp_path, capsys):
+        target = tmp_path / "c.csv"
+        code, out, _ = run_cli(capsys, "pc", pvalue_csv, "--csv", str(target))
+        assert code == 0 and out == f"wrote {target}\n" and target.exists()
+        target.unlink()
+        code, out, err = run_cli(capsys, "pc", pvalue_csv, "--json")
+        assert code == 0 and err == "" and not target.exists()
+        ps = pio.records_to_pvalues(pio.read_study_csv(pvalue_csv))
+        curve = cli.pc_curve(ps, 0.05, spec=cli.CombinerSpec("fisher"))
+        assert out == pio.json_dumps(pio.curve_to_json_dict(curve)) + "\n"
+
+    def test_patched_handler_runs_after_parser_is_built(self, pvalue_csv, capsys,
+                                                        monkeypatch):
+        assert run_cli(capsys, "dataset")[0] == 0
+        assert cli._parser is not None
+        seen = []
+        monkeypatch.setattr(cli, "cmd_pc", lambda args: seen.append(args.input) or 0)
+        assert run_cli(capsys, "pc", pvalue_csv) == (0, "", "")
+        assert seen == [pvalue_csv]
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        run_cli(capsys, "dataset")
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second and cli._parser not in (first, second)

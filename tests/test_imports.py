@@ -115,6 +115,23 @@ def test_import_cli_loads_no_numpy(tmp_path):
     fresh_python("import sys, pcmeta.cli\nassert 'numpy' not in sys.modules", cwd=tmp_path)
 
 
+def test_import_cli_builds_no_parser(tmp_path):
+    # Parsers are counted by their construction; the first main() call
+    # builds the process's one parser and the second reuses it.
+    fresh_python("""
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from pcmeta import cli
+assert built == [] and cli._parser is None
+assert cli.main(["dataset"]) == 0
+count = len(built)
+assert count > 0 and cli._parser is not None
+assert cli.main(["dataset", "--view", "counts"]) == 0 and len(built) == count
+""", cwd=tmp_path)
+
+
 def test_first_numpy_read_rebinds_only_that_module(tmp_path):
     fresh_python("""
 import sys

@@ -1,6 +1,8 @@
 """Drop-smallest and subset-max PC rules, component extraction, curves."""
 
+import hashlib
 import math
+import random
 import time
 from itertools import combinations, islice, product
 
@@ -741,6 +743,43 @@ class TestStructured:
         curve = pc_curve(ps, 0.05, groups=groups)
         assert time.perf_counter() - start < 10.0
         assert curve.method == "gbhpc:structured" and len(curve.entries) == 90
+
+
+def wide_grouped_case(name):
+    """(p-values, partition) of a seeded wide grouped case.  ``Bx3`` is
+    B blocks of 3 log-uniform p-values in [1e-8, 1]; ``uneven`` is 14
+    interleaved blocks of 1 to 6 studies whose p-values are drawn from a
+    pool holding 0, 1 and 1e-300, so that many of them tie."""
+    rng = random.Random(f"wide_grouped:{name}")
+    if name == "uneven":
+        sizes = [rng.randint(1, 6) for _ in range(14)]
+        labels = [f"b{b}" for b, size in enumerate(sizes) for _ in range(size)]
+        rng.shuffle(labels)
+        pool = [0.0, 1.0, 1e-300] + [10.0 ** -rng.uniform(0, 8) for _ in range(8)]
+        values = [rng.choice(pool) for _ in labels]
+    else:
+        blocks = int(name.split("x")[0])
+        labels = [f"b{i // 3}" for i in range(3 * blocks)]
+        values = [10.0 ** -rng.uniform(0, 8) for _ in labels]
+    return pv(*values), GroupPartition.from_labels(labels)
+
+
+# sha256 of the repr of (log p, p) for every entry of the grouped curve,
+# recorded at commit 0f70ac1, before the kept-count keyed block DP.
+WIDE_CURVE_DIGESTS = {
+    "10x3": "57b413d5fd2b7d27f19607519e44d8efbf848f6637dea2cb225fd997aab1304c",
+    "30x3": "ab365c7f1ed867d4cdc5abd9dfd89be936710e0b1178341e324a96ba5549bc18",
+    "uneven": "f04c21d3218626cb1ffcd16d64290409830cae0fda5092be6020b7bda78bb260",
+}
+
+
+class TestWideGroupedCurvePins:
+    @pytest.mark.parametrize("name", sorted(WIDE_CURVE_DIGESTS))
+    def test_curve_bits_unchanged(self, name):
+        ps, groups = wide_grouped_case(name)
+        curve = pc_curve(ps, 0.05, groups=groups)
+        text = "".join(repr((e.p.log_value, e.p.linear)) for e in curve.entries)
+        assert hashlib.sha256(text.encode()).hexdigest() == WIDE_CURVE_DIGESTS[name]
 
 
 class TestExtractComponent:
