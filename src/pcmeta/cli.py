@@ -6,7 +6,9 @@ stderr as a one-line JSON object; with ``--json`` stdout carries
 nothing but the result document.  Every random command takes ``--seed``
 (default: the PCMETA_SEED environment variable, else 0), and a fixed
 seed yields byte-identical output files.  ``main`` builds the parser
-once per process; the parser holds each handler's name, and ``main``
+on its first call and reuses it, which saves time only where one
+process calls ``main`` more than once; a ``pcmeta`` launch builds one
+parser either way.  The parser holds each handler's name, and ``main``
 looks the handler up in this module when it dispatches.
 """
 
@@ -18,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from . import io as pio
 from .combiners import CombinerSpec, combine, fisher_exact_2x2, rows_for
@@ -417,22 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+_parser = cache(build_parser)  # built by the first main() call
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
-        if getattr(args, "seed", 0) < 0:
-            raise InputValidationError(f"seed must be non-negative, got {args.seed}")
-        code = globals()[args.func](args)
-        sys.stdout.flush()
-        return code
+        try:
+            args = _parser().parse_args(argv)
+            if hasattr(args, "seed") and args.seed is None:
+                args.seed = _default_seed()
+            if getattr(args, "seed", 0) < 0:
+                raise InputValidationError(f"seed must be non-negative, got {args.seed}")
+            return globals()[args.func](args)
+        finally:  # also when --help exits with its text still buffered
+            sys.stdout.flush()
     except PcmetaError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -567,10 +567,14 @@ class TestExitCodes:
         ps = [r.p for r in pio.read_study_csv(str(path))]
         assert ps[:4] == [0.0] * 4 and ps[4] == 1e-310
 
-    @pytest.mark.parametrize("argv", [["dataset"], ["pc", "noac.csv", "--json"]])
+    @pytest.mark.parametrize("argv", [["dataset"], ["pc", "noac.csv", "--json"],
+                                      ["pc", "--help"]])
     def test_closed_stdout_exits_1_quietly(self, tmp_path, argv):
         (tmp_path / "noac.csv").write_text(pio.export_bundled_csv("pvalues"))
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        # Block-buffered stdout, as in a shell pipe: --help then fails only
+        # at the flush.  (Unbuffered, argparse drops the write error itself.)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader before the command writes anything
         try:
@@ -610,7 +614,7 @@ class TestParserReuse:
     def test_patched_handler_runs_after_parser_is_built(self, pvalue_csv, capsys,
                                                         monkeypatch):
         assert run_cli(capsys, "dataset")[0] == 0
-        assert cli._parser is not None
+        assert cli._parser.cache_info().currsize == 1
         seen = []
         monkeypatch.setattr(cli, "cmd_pc", lambda args: seen.append(args.input) or 0)
         assert run_cli(capsys, "pc", pvalue_csv) == (0, "", "")
@@ -619,4 +623,4 @@ class TestParserReuse:
     def test_build_parser_returns_a_new_parser(self, capsys):
         run_cli(capsys, "dataset")
         first, second = cli.build_parser(), cli.build_parser()
-        assert first is not second and cli._parser not in (first, second)
+        assert first is not second and cli._parser() not in (first, second)

@@ -124,10 +124,10 @@ built = []
 init = argparse.ArgumentParser.__init__
 argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
 from pcmeta import cli
-assert built == [] and cli._parser is None
+assert built == [] and cli._parser.cache_info().currsize == 0
 assert cli.main(["dataset"]) == 0
 count = len(built)
-assert count > 0 and cli._parser is not None
+assert count > 0 and cli._parser.cache_info().currsize == 1
 assert cli.main(["dataset", "--view", "counts"]) == 0 and len(built) == count
 """, cwd=tmp_path)
 
