@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 stdout closed before the output was written,
-2 input validation error, 3 numeric non-convergence.  Errors go to
-stderr as a one-line JSON object; with ``--json`` stdout carries
-nothing but the result document.  Every random command takes ``--seed``
-(default: the PCMETA_SEED environment variable, else 0), and a fixed
-seed yields byte-identical output files.  ``main`` builds the parser
-on its first call and reuses it, which saves time only where one
-process calls ``main`` more than once; a ``pcmeta`` launch builds one
-parser either way.  The parser holds each handler's name, and ``main``
-looks the handler up in this module when it dispatches.
+2 input validation error, 3 numeric non-convergence.  Errors, argparse's
+refusals of the argument vector included, go to stderr as a one-line
+JSON object; with ``--json`` stdout carries nothing but the result
+document.  Every random command takes ``--seed`` (default: the
+PCMETA_SEED environment variable, else 0; ``simulate`` refuses it when
+the config sets ``seed``), and a fixed seed yields byte-identical output
+files.  ``main`` builds the parser on its first call and reuses it,
+which saves time only where one process calls ``main`` more than once;
+a ``pcmeta`` launch builds one parser either way.  The parser holds each
+handler's name, and ``main`` looks the handler up in this module when it
+dispatches.
 """
 
 from __future__ import annotations
@@ -50,22 +52,24 @@ def _default_seed() -> int:
         raise InputValidationError(f"PCMETA_SEED is not an integer: {raw!r}")
 
 
-def _build_spec(method: str, gamma: float | None, weights=None) -> CombinerSpec:
-    if method == "tpm":
-        if gamma is None:
-            raise InputValidationError("--method tpm requires --gamma")
-        return CombinerSpec("tpm", tpm_gamma=gamma)
-    if method == "stouffer":
-        return CombinerSpec("stouffer_weighted", weights=weights)
-    return CombinerSpec(method)
-
-
-def _check_method_options(args) -> None:
-    """Refuse options that the chosen --method would silently ignore."""
+def _build_spec(args, studies) -> CombinerSpec:
+    """The rule that --method names.  Refuses an option that the method
+    would silently ignore.  Stouffer weighs ``studies`` (one item per
+    study) equally, or by the records' n_sample with --weights-from."""
     if args.gamma is not None and args.method != "tpm":
         raise InputValidationError("--gamma applies only to --method tpm")
-    if getattr(args, "weights_from", None) is not None and args.method != "stouffer":
+    weights_from = getattr(args, "weights_from", None)
+    if weights_from is not None and args.method != "stouffer":
         raise InputValidationError("--weights-from applies only to --method stouffer")
+    if args.method == "tpm":
+        if args.gamma is None:
+            raise InputValidationError("--method tpm requires --gamma")
+        return CombinerSpec("tpm", tpm_gamma=args.gamma)
+    if args.method == "stouffer":
+        weights = (pio.stouffer_weights_from_records(studies) if weights_from
+                   else (1.0,) * len(studies))
+        return CombinerSpec("stouffer_weighted", weights=weights)
+    return CombinerSpec(args.method)
 
 
 def _check_out_path(path: str) -> None:
@@ -93,17 +97,9 @@ def _load_input(path: str):
     return records, pio.records_to_pvalues(records)
 
 
-def _weights_for(args, records) -> tuple[float, ...]:
-    if getattr(args, "weights_from", None) == "n_sample":
-        return pio.stouffer_weights_from_records(records)
-    return tuple(1.0 for _ in records)
-
-
 def cmd_combine(args) -> int:
-    _check_method_options(args)
     records, ps = _load_input(args.input)
-    weights = _weights_for(args, records) if args.method == "stouffer" else None
-    spec = _build_spec(args.method, args.gamma, weights)
+    spec = _build_spec(args, records)
     result = combine(spec, ps)
     if args.json:
         print(pio.json_dumps({
@@ -122,25 +118,22 @@ def cmd_pc(args) -> int:
         if args.json or args.r is not None:
             raise InputValidationError("--csv writes the whole curve; it takes no --json or --r")
         _check_out_path(args.csv)
-    _check_method_options(args)
     records, ps = _load_input(args.input)
+    if args.groups and (args.method != "fisher" or args.enumerate):
+        raise InputValidationError("--groups takes no --method or --enumerate")
+    spec = _build_spec(args, records)
     n = len(ps)
-    kwargs = {}
     if args.groups:
-        if args.method != "fisher" or args.enumerate:
-            raise InputValidationError("--groups takes no --method or --enumerate")
-        kwargs["groups"] = pio.partition_from_records(records)
+        kwargs = {"groups": pio.partition_from_records(records)}
     elif args.method == "stouffer":
-        kwargs["g"] = weighted_subset_combiner(_weights_for(args, records))
+        kwargs = {"g": weighted_subset_combiner(spec.weights)}
     elif args.enumerate:
-        kwargs["g"] = fixed_subset_combiner(_build_spec(args.method, args.gamma))
+        kwargs = {"g": fixed_subset_combiner(spec)}
     else:
-        kwargs["spec"] = _build_spec(args.method, args.gamma)
+        kwargs = {"spec": spec}
 
     if args.r is not None:
         method, evaluate = select_construction(ps, args.alpha, **kwargs)
-        if not (1 <= args.r <= n):
-            raise InputValidationError(f"--r must be in 1..{n}, got {args.r}")
         p = evaluate(args.r)
         if args.json:
             print(pio.json_dumps({
@@ -211,13 +204,15 @@ def cmd_simulate(args) -> int:
             raw = json.load(fh)
     except OSError as exc:
         raise InputValidationError(f"cannot read {args.config}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise InputValidationError(f"{args.config} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InputValidationError(f"{args.config} must hold a JSON object")
     unknown = sorted(set(raw) - set(_SIM_KEYS))
     if unknown:
         raise InputValidationError(f"unknown config keys {unknown}; known: {_SIM_KEYS}")
+    if "seed" in raw and not getattr(args, "seed_defaulted", False):
+        raise InputValidationError(f"{args.config} sets seed; pass no --seed")
     mu0_values = raw.get("mu0_values", [round(0.02 + 0.042 * i, 4) for i in range(10)])
     sigma0_values = raw.get(
         "sigma0_values", [round(0.01 + 0.043 * i, 4) for i in range(10)]
@@ -273,13 +268,12 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 
 def cmd_oracle_validity(args) -> int:
-    _check_method_options(args)
     z_means = None if args.z_means is None else _parse_float_list(args.z_means, "--z-means")
-    k = args.k if z_means is None else len(z_means)
+    k = len(z_means) if args.k is None and z_means is not None else args.k
     if k is None:
         raise InputValidationError("pass --k or --z-means")
-    config = NullConfig(n_studies=k, z_means=tuple(z_means) if z_means else None)
-    spec = _build_spec(args.method, args.gamma, (1.0,) * k)
+    config = NullConfig(n_studies=k, z_means=None if z_means is None else tuple(z_means))
+    spec = _build_spec(args, range(k))
     if args.pc_r is None:
         rule = BatchedRule(lambda ps: combine(spec, ps), rows_for(spec))
         label = args.method
@@ -327,8 +321,16 @@ def cmd_oracle_tpm(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise InputValidationError, so that they
+    leave ``main`` as one JSON line like every other refusal."""
+
+    def error(self, message):
+        raise InputValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcmeta",
         description="Partial-conjunction p-values and replicability analysis",
     )
@@ -428,7 +430,7 @@ def main(argv=None) -> int:
         try:
             args = _parser().parse_args(argv)
             if hasattr(args, "seed") and args.seed is None:
-                args.seed = _default_seed()
+                args.seed, args.seed_defaulted = _default_seed(), True
             if getattr(args, "seed", 0) < 0:
                 raise InputValidationError(f"seed must be non-negative, got {args.seed}")
             return globals()[args.func](args)

@@ -398,13 +398,6 @@ class FisherExactResult(NamedTuple):
     p_value: ProbValue
 
 
-def _sample_odds(events: int, total: int) -> float:
-    non_events = total - events
-    if non_events == 0:
-        return math.inf if events > 0 else math.nan
-    return events / non_events
-
-
 def fisher_exact_2x2(
     table: CountTable2x2, convention: str = "min_likelihood"
 ) -> FisherExactResult:
@@ -444,16 +437,10 @@ def fisher_exact_2x2(
         high = log_sum_exp(log_pmfs[obs:])
         log_p = math.log(2.0) + min(low, high)
     p = ProbValue.from_log(min(0.0, log_p))
-    odds_a = _sample_odds(table.events_a, table.total_a)
-    odds_b = _sample_odds(table.events_b, table.total_b)
-    if math.isnan(odds_a) or math.isnan(odds_b):
-        odds_ratio = math.nan
-    elif math.isinf(odds_a):
-        odds_ratio = math.nan if math.isinf(odds_b) else math.inf
-    elif odds_b == 0.0:
-        odds_ratio = math.inf if odds_a > 0 else math.nan
-    elif math.isinf(odds_b):
-        odds_ratio = 0.0
+    ea, eb = table.events_a, table.events_b
+    na, nb = table.total_a - ea, table.total_b - eb
+    if na * eb == 0:
+        odds_ratio = math.inf if ea * nb else math.nan
     else:
-        odds_ratio = odds_a / odds_b
+        odds_ratio = (ea / na) / (eb / nb) if nb else 0.0
     return FisherExactResult(odds_ratio, p)

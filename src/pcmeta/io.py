@@ -129,19 +129,11 @@ def parse_study_rows(rows: Iterable[dict[str, str]]) -> list[StudyRecord]:
             raise InputValidationError(f"{study}: missing study_id")
         group = (row.get("group_factor") or "").strip() or None
         sigma = _parse_optional(row.get("sigma"), float, "sigma", study)
-        records.append(
-            StudyRecord(
-                study_id=study,
-                group_factor=group,
-                p=_parse_p(row.get("p"), study),
-                events_a=_parse_optional(row.get("events_a"), int, "events_a", study),
-                total_a=_parse_optional(row.get("total_a"), int, "total_a", study),
-                events_b=_parse_optional(row.get("events_b"), int, "events_b", study),
-                total_b=_parse_optional(row.get("total_b"), int, "total_b", study),
-                n_sample=_parse_optional(row.get("n_sample"), int, "n_sample", study),
-                sigma=1.0 if sigma is None else sigma,
-            )
-        )
+        p = _parse_p(row.get("p"), study)
+        counts = {f: _parse_optional(row.get(f), int, f, study)
+                  for f in (*_COUNT_FIELDS, "n_sample")}
+        records.append(StudyRecord(study_id=study, group_factor=group, p=p,
+                                   sigma=1.0 if sigma is None else sigma, **counts))
     if not records:
         raise InputValidationError("input contains no data rows")
     dups = sorted(s for s, c in Counter(r.study_id for r in records).items() if c > 1)
@@ -160,7 +152,7 @@ def read_study_csv(path: str) -> list[StudyRecord]:
             if reader.fieldnames is None or "study_id" not in reader.fieldnames:
                 raise InputValidationError(f"{path}: missing study_id column")
             return parse_study_rows(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputValidationError(f"cannot read {path}: {exc}") from exc
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 from .combiners import CombinerSpec
 from .errors import InputValidationError, _check_alpha, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
-from .partial_conjunction import _check_budget, bhpc_rows, weighted_gbhpc_rows
+from .partial_conjunction import _check_budget, _check_r, bhpc_rows, weighted_gbhpc_rows
 
 np = _LazyNumpy(globals())
 
@@ -81,8 +81,7 @@ class SimConfig:
             raise InputValidationError("sample sizes must be positive")
         if not (0 <= self.r0 <= self.n):
             raise InputValidationError(f"r0 must be in 0..{self.n}, got {self.r0}")
-        if not (1 <= self.r <= self.n):
-            raise InputValidationError(f"r must be in 1..{self.n}, got {self.r}")
+        _check_r(self.n, self.r)
         if not (0 < self.mu0 < math.inf and 0 < self.sigma0 < math.inf):
             raise InputValidationError("mu0 and sigma0 must be positive and finite")
         _check_alpha(self.alpha)

@@ -2,7 +2,8 @@
 the program must refuse.  Each exits 2 or 3 with exactly one JSON line
 ({"error", "message"}) on stderr, nothing on stdout, no traceback and no
 output file.  Every vector is refused before any simulation runs, so the
-whole table takes a few seconds in process."""
+whole table takes a few seconds in process.  The vectors that argparse
+itself refuses leave ``main`` the same way, with exit 2."""
 
 import json
 import os
@@ -19,6 +20,8 @@ CONFIGS = {
     "cfg_no_r0": {"mu0_values": [0.1], "sigma0_values": [0.1], "r0": []},
     "cfg_no_mu0": {"mu0_values": [], "sigma0_values": [0.1], "reps": 1000},
     "cfg_inf_mu0": {"mu0_values": [float("inf")], "sigma0_values": [0.1], "reps": 1000},
+    "cfg_seed": {"mu0_values": [0.1], "sigma0_values": [0.1], "r0": [1], "reps": 1000,
+                 "seed": 5},
 }
 
 CSVS = {
@@ -84,6 +87,7 @@ CASES = [
     ["simulate", "{cfg_no_mu0}", *OUT],
     ["simulate", "{cfg_inf_mu0}", *OUT],
     ["simulate", "{cfg}", "--seed", "-1", *OUT],
+    ["simulate", "{cfg_seed}", "--seed", "5", *OUT],
     # counterexample
     ["counterexample", "--alpha", "nan", *OUT],
     ["counterexample", "--alpha", "0", *OUT],
@@ -119,6 +123,7 @@ CASES = [
     [*VALIDITY, "--k", "3", "--pc-r", "4"],
     [*VALIDITY, "--k", "3", "--pc-r", "2", "--method", "stouffer"],
     [*VALIDITY, "--k", "3", "--seed", "-1"],
+    [*VALIDITY, "--k", "5", "--z-means", "0,0"],
     ["oracle", "validity", "--k", "3", "--reps", "0"],
     ["oracle", "validity", "--k", "3", "--reps", "-1"],
     # oracle tpm-cdf
@@ -168,3 +173,68 @@ def test_refused_with_one_json_line(argv, paths, capsys):
     assert len(lines) == 1, lines
     assert set(json.loads(lines[0])) == {"error", "message"}
     assert not os.path.exists(paths["out"])
+
+
+# Argument vectors that argparse itself refuses: a bad int or float, a
+# value outside ``choices``, an unknown option or subcommand, a missing
+# positional, required option or subcommand, and mutually exclusive options.
+ARGPARSE_REFUSALS = [
+    ["pc", "{p}", "--r", "abc"],
+    ["pc", "{p}", "--r", "3", "--all-r"],
+    ["pc", "{p}", "--alpha", "x"],
+    ["pc"],
+    ["combine", "{p}", "--bogus"],
+    ["combine", "{p}", "--method", "nope"],
+    ["oracle", "validity", "--method", "nope"],
+    ["oracle", "tpm-cdf", "--l", "3"],
+    ["simulate", "{cfg}"],
+    ["counterexample", "--grid", "2.5", *OUT],
+    ["oracle"],
+    ["nope"],
+    [],
+]
+
+SUBCOMMANDS = [[], ["combine"], ["pc"], ["exact2x2"], ["simulate"], ["counterexample"],
+               ["dataset"], ["oracle"], ["oracle", "validity"], ["oracle", "tpm-cdf"]]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_REFUSALS, ids=lambda argv: " ".join(argv) or "empty")
+def test_argparse_refusal_is_one_json_line(argv, paths, capsys):
+    code = cli.main([arg.format(**paths) for arg in argv])  # returns, never raises
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "InputValidationError"
+    assert not os.path.exists(paths["out"])
+
+
+def test_refusal_leaves_the_parser_usable(capsys):
+    assert cli.main(["dataset", "--view", "nope"]) == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(["dataset", "--view", "counts"]) == 0
+    assert capsys.readouterr() == (pio.export_bundled_csv("counts"), "")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: " ".join(argv) or "top")
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith(" ".join(["usage: pcmeta", *argv]))
+
+
+# Neighbours of two refused vectors above that must still run: --seed on
+# a config without a seed, and --k with a --z-means of k entries.
+ACCEPTED = [
+    ["simulate", "{cfg}", "--seed", "5", *OUT],
+    [*VALIDITY, "--k", "2", "--z-means", "0,0"],
+]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=lambda argv: " ".join(argv))
+def test_consistent_neighbour_runs(argv, paths, capsys):
+    assert cli.main([arg.format(**paths) for arg in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out != ""

@@ -609,6 +609,34 @@ class TestFisherExact:
         orr, _ = fisher_exact_2x2(CountTable2x2(0, 10, 0, 10))
         assert math.isnan(orr)
 
+    def test_odds_ratio_equals_the_per_arm_ladder(self):
+        # Reference: each arm's sample odds (inf when it has no non-events,
+        # nan for 0/0), then a five-way ladder over the two odds.
+        def sample_odds(events, total):
+            non_events = total - events
+            if non_events == 0:
+                return math.inf if events > 0 else math.nan
+            return events / non_events
+
+        def ladder(ea, ta, eb, tb):
+            odds_a, odds_b = sample_odds(ea, ta), sample_odds(eb, tb)
+            if math.isnan(odds_a) or math.isnan(odds_b):
+                return math.nan
+            if math.isinf(odds_a):
+                return math.nan if math.isinf(odds_b) else math.inf
+            if odds_b == 0.0:
+                return math.inf if odds_a > 0 else math.nan
+            if math.isinf(odds_b):
+                return 0.0
+            return odds_a / odds_b
+
+        tables = [(ea, ta, eb, tb) for ta in range(1, 13) for tb in range(1, 13)
+                  for ea in range(ta + 1) for eb in range(tb + 1)]
+        assert len(tables) == 90 * 90
+        for table in tables:
+            got = fisher_exact_2x2(CountTable2x2(*table)).odds_ratio
+            assert repr(got) == repr(ladder(*table)), table
+
     def test_table_validation(self):
         with pytest.raises(InputValidationError):
             CountTable2x2(5, 4, 1, 10)
