@@ -434,7 +434,9 @@ def main(argv=None) -> int:
             if getattr(args, "seed", 0) < 0:
                 raise InputValidationError(f"seed must be non-negative, got {args.seed}")
             return globals()[args.func](args)
-        finally:  # also when --help exits with its text still buffered
+        except SystemExit as exc:  # --help, once argparse printed the text
+            return exc.code
+        finally:  # also after --help, with its text still buffered
             sys.stdout.flush()
     except PcmetaError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -176,13 +176,9 @@ def log_bonferroni_rows(log_p: np.ndarray) -> np.ndarray:
 def log_stouffer_rows(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise weighted z-rule from (rows, k) arrays of z_i = Phi^{-1}(1 - p_i)
     and of their weights: log(1 - Phi(sum w_i z_i / sqrt(sum w_i^2)))."""
-    return _log_stouffer_from_sums((weights * z).sum(axis=1), (weights * weights).sum(axis=1))
-
-
-def _log_stouffer_from_sums(wz: np.ndarray, ww: np.ndarray) -> np.ndarray:
-    """The weighted z-rule from arrays of sum w_i z_i and of sum w_i^2."""
     from scipy import special
 
+    wz, ww = (weights * z).sum(axis=1), (weights * weights).sum(axis=1)
     return special.log_ndtr(-(wz / np.sqrt(ww)))
 
 

@@ -12,7 +12,8 @@ constructions are implemented:
   expressed through a factory that receives the original indices.  The
   library factories build one rule per ``CombinerSpec``, ``_SubsetRule``,
   whose array form scores every subset as a pair of half-subsets from
-  two small tables; the scalar rule rescores only those that
+  two small tables: a cheap statistic for each, then a costly finisher
+  only for those near the best.  The scalar rule rescores only those that
   ``combiners._needs_rescore`` selects, so the result stays exact.
   Other factories run the scalar loop over ``itertools.combinations``.
 
@@ -39,14 +40,14 @@ from functools import lru_cache
 from itertools import combinations
 from numbers import Integral
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .combiners import (
+    _RESCORE_RTOL,
     CombinerSpec,
     _check_weights,
     _log_fisher_from_half,
     _log_simes_sorted_rows,
-    _log_stouffer_from_sums,
     _needs_rescore,
     _upper_z_rows,
     combine,
@@ -85,7 +86,8 @@ __all__ = [
 
 SubsetCombiner = Callable[[Sequence[ProbValue]], ProbValue]
 SubsetCombinerFactory = Callable[[tuple[int, ...]], SubsetCombiner]
-# Approximate log g_u of each u = a + b, rows a, b of two index matrices, row-major.
+# Approximate log g_u of each u = a + b, rows a, b of two index matrices, row-major
+# (a ``_Staged`` one in two stages: a statistic per pair, then its finisher).
 PairKernel = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -94,6 +96,8 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 _BLOCK_FISHER_CACHE_SIZE = 1 << 14
 # Indices per kernel call of the enumeration screen (256 kB of intp).
 _BATCH_ENTRIES = 1 << 15
+# Offsets above the best statistic where the screen seeks its cut: 9e-10 to 1024, x4.
+_CUT_OFFSETS = tuple(4.0**k for k in range(-15, 6))
 
 
 @dataclass(frozen=True)
@@ -243,20 +247,28 @@ def _screen(n: int, size: int, kernel: PairKernel) -> Iterator[tuple[int, ...]]:
     ``_needs_rescore`` selects with the approximate maximum M as target.
 
     Split at h = n // 2, a subset is an a-subset of studies 0..h-1 and
-    a (size - a)-subset of h..n-1.  For each a the kernel scores the
-    product of the two ``_half`` tables into one array of C(n, size)
-    floats, slices of about ``_BATCH_ENTRIES`` indices at a time.  Kept
-    pairs become ascending tuples a slice at a time, each split's in
-    ``itertools.combinations`` order; a merge of the splits keeps it.
+    a (size - a)-subset of h..n-1.  For each a the kernel's statistic
+    (minus its value if it has no stages) scores the product of the two
+    ``_half`` tables into one array of C(n, size) floats, slices of about
+    ``_BATCH_ENTRIES`` indices at a time.  The finisher, non-increasing
+    up to an error far below tol, runs on the least statistic s and on s
+    plus each of ``_CUT_OFFSETS``: the first whose value is 2 tol below
+    s's is the cut.  Only pairs at or below it and NaN ones are finished
+    (all if no cut or s's value is -inf): past it none is near M or can
+    attain the exact maximum.  Kept pairs become ascending tuples a
+    slice at a time, each split's in ``itertools.combinations`` order; a
+    merge of the splits keeps it.
     When M = -inf the first non-NaN subset of each split is kept: the
     smallest of them comes first and stands for all of them.
     """
+    stages = kernel if isinstance(kernel, _Staged) else _Staged(
+        lambda a, b: -kernel(a, b), lambda s, _: -s)
     h = n // 2
     splits = [(_half(0, h, a), _half(h, n, size - a))
               for a in range(max(0, size - n + h), min(h, size) + 1)]
     cuts = np.cumsum([rows_a * rows_b for (rows_a, _), (rows_b, _) in splits])
-    approx = np.empty(cuts[-1])
-    for ((rows_a, low), (rows_b, high)), part in zip(splits, np.split(approx, cuts[:-1])):
+    stat = np.empty(cuts[-1])
+    for ((rows_a, low), (rows_b, high)), part in zip(splits, np.split(stat, cuts[:-1])):
         block = part.reshape(rows_a, rows_b)
         cols = min(rows_b, max(1, _BATCH_ENTRIES // size))
         step = max(1, _BATCH_ENTRIES // (size * cols))
@@ -264,7 +276,7 @@ def _screen(n: int, size: int, kernel: PairKernel) -> Iterator[tuple[int, ...]]:
             b = high(slice(j, j + cols))
             for i in range(0, rows_a, step):
                 a = low(slice(i, i + step))
-                block[i : i + step, j : j + cols] = kernel(a, b).reshape(len(a), len(b))
+                block[i : i + step, j : j + cols] = stages.statistic(a, b).reshape(len(a), len(b))
 
     def pairs(picked: np.ndarray, rows_b: int, low, high) -> Iterator[tuple[int, ...]]:
         step = max(1, _BATCH_ENTRIES // size)
@@ -272,8 +284,14 @@ def _screen(n: int, size: int, kernel: PairKernel) -> Iterator[tuple[int, ...]]:
             i, j = np.divmod(picked[start : start + step], rows_b)
             yield from map(tuple, np.hstack((low(i), high(j))).tolist())
 
+    ladder = np.fmin.reduce(stat, initial=math.inf) + np.array((0.0, *_CUT_OFFSETS))
+    values = stages.finish(ladder, size)  # at the NaN-ignoring least statistic, then above
+    past = ladder[values < values[0] - 2 * _RESCORE_RTOL * (1.0 + abs(values[0]))]
+    near = np.flatnonzero(~(stat > (past[0] if len(past) else math.inf)))  # NaN too
+    approx = stages.finish(stat[near], size)
     top = np.fmax.reduce(approx, initial=-math.inf)  # NaN-ignoring max
-    keep = np.isnan(approx) if top == -math.inf else _needs_rescore(approx, [top])
+    keep = np.zeros(len(stat), dtype=bool)
+    keep[near] = np.isnan(approx) if top == -math.inf else _needs_rescore(approx, [top])
     for part in np.split(keep, cuts[:-1]) if top == -math.inf else ():
         part[part.argmin()] = True  # and the first non-NaN pair of each split
     from heapq import merge  # only the screen needs it
@@ -298,14 +316,15 @@ def gbhpc_enumerate(
     first subset attaining the maximum (strict ``>``) gives the result.
     With a factory from ``fixed_subset_combiner`` (any symmetric rule,
     TPM included) or ``weighted_subset_combiner``, ``_screen`` first
-    scores every subset approximately (C(n, r-1) floats, at most 8 MB
-    within the default budget), and the scalar rule scores only the
-    subsets ``_needs_rescore`` keeps with the maximum M of the non-NaN
-    values as target: NaN ones and those within tol = 1e-9 * (1 + |M|)
-    of M.  A kernel's numbers agree with the scalar rule to far less
-    than tol / 2, so every subset attaining the exact maximum is
-    rescored, and the first of them gives the full scalar loop's
-    ``ProbValue``, bit for bit.  NaN marks a subset the kernel cannot
+    scores every subset's statistic (C(n, r-1) floats, at most 8 MB
+    within the default budget) and finishes only those near the best.
+    The scalar rule scores only the subsets ``_needs_rescore`` keeps
+    with the maximum M of the finished non-NaN values as target: NaN
+    ones and those within tol = 1e-9 * (1 + |M|) of M.  A kernel's
+    numbers agree with the scalar rule to far less than tol / 2, and
+    the unfinished ones lie 2 tol below M, so every subset attaining
+    the exact maximum is rescored, and the first of them gives the full
+    scalar loop's ``ProbValue``, bit for bit.  NaN marks a subset the kernel cannot
     score: for the weighted rule, one holding a p of 0 or 1, where the
     scalar rule raises as it always has.  A kernel value is -inf only
     where the scalar value is -inf too (a p of 0; for the weighted rule
@@ -334,15 +353,25 @@ def _pair_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.outer(values[a].sum(axis=1), values[b].sum(axis=1)).ravel()
 
 
+class _Staged(NamedTuple):
+    """A ``PairKernel`` as a cheap statistic per pair and its finisher."""
+
+    statistic: PairKernel
+    finish: Callable[["np.ndarray", int], "np.ndarray"]  # (s, size): non-increasing in s
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.finish(self.statistic(a, b), a.shape[1] + b.shape[1])
+
+
 @dataclass(frozen=True)
 class _SubsetRule:
     """The subset rule g_u of one ``CombinerSpec``: called with a subset u
     it returns the scalar combiner, with any weights restricted to u.
-    ``bind(ps)`` returns a ``PairKernel``: Fisher from per-half sums of
-    log p, the weighted z-rule from per-half sums of w * z and w^2 (z
-    from ``combiners._upper_z_rows``, NaN for a p of 0 or within 1e-6 of
-    1, so the scalar rule raises on those subsets as it always has), and
-    the other rules from ``rows_for`` on the paired rows."""
+    ``bind(ps)`` returns a ``PairKernel``: ``_Staged`` for Fisher (sum of
+    -log p, then the Poisson tail) and the weighted z-rule (t = sum w z /
+    sqrt(sum w^2), then log Phi(-t); z from ``combiners._upper_z_rows`` is
+    NaN at a p of 0 or within 1e-6 of 1, which the scalar rule settles),
+    and ``rows_for`` on the paired rows for the other rules."""
 
     spec: CombinerSpec
 
@@ -356,14 +385,16 @@ class _SubsetRule:
     def bind(self, ps: Sequence[ProbValue]) -> PairKernel:
         spec, log_p = self.spec, np.array([p.log_value for p in ps])
         if spec.method == "fisher":
-            return lambda a, b: _log_fisher_from_half(
-                -_pair_sums(log_p, a, b), a.shape[1] + b.shape[1])
+            return _Staged(lambda a, b: _pair_sums(-log_p, a, b), _log_fisher_from_half)
         if spec.method == "stouffer_weighted":
+            from scipy import special
+
             w = np.array(spec.weights)
             if len(ps) != len(w):
                 raise InputValidationError(f"{len(w)} weights for {len(ps)} p-values")
             wz, ww = w * _upper_z_rows(log_p), w * w
-            return lambda a, b: _log_stouffer_from_sums(_pair_sums(wz, a, b), _pair_sums(ww, a, b))
+            return _Staged(lambda a, b: _pair_sums(wz, a, b) / np.sqrt(_pair_sums(ww, a, b)),
+                           lambda t, _: special.log_ndtr(-t))
         rows = rows_for(spec)
         return lambda a, b: rows(np.hstack(
             (np.repeat(log_p[a], len(b), axis=0), np.tile(log_p[b], (len(a), 1)))))

@@ -587,6 +587,15 @@ class TestExitCodes:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
 
+    def test_help_in_a_fresh_process_exits_0(self):
+        # main returns 0 for --help, and the entry point's sys.exit passes it on.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from pcmeta import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "pc", "--help"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"usage: pcmeta pc")
+
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PCMETA_SEED", "123")
         out1 = tmp_path / "a.csv"

@@ -1,6 +1,8 @@
 """Combiner behavior, invariants, and the 2x2 exact test."""
 
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -636,6 +638,27 @@ class TestFisherExact:
         for table in tables:
             got = fisher_exact_2x2(CountTable2x2(*table)).odds_ratio
             assert repr(got) == repr(ladder(*table)), table
+
+    @pytest.mark.parametrize("convention, digest", [
+        ("min_likelihood", "eb50ff8dee1f5c7662aaa09bb50757e570da932256bbb051292b6ea2073a58ac"),
+        ("doubling", "60be2af472694b54fd886caadcb4d1c667bea7f0f7878ceebffc4cf5bde46427"),
+    ], ids=["min_likelihood", "doubling"])
+    def test_bits_pinned(self, bundled_count_records, convention, digest):
+        # Recorded before log_sum_exp fed fsum largest-first: every table
+        # with both totals <= 20, the bundled ones, and 300 seeded tables
+        # with totals log-uniform up to 40,000.
+        tables = [(ea, ta, eb, tb) for ta in range(1, 21) for tb in range(1, 21)
+                  for ea in range(ta + 1) for eb in range(tb + 1)]
+        tables += [astuple(r.count_table()) for r in bundled_count_records]
+        rng = np.random.default_rng(2027)
+        for _ in range(300):
+            ta, tb = (int(x) for x in np.exp(rng.uniform(0.0, math.log(40_000), 2)).round())
+            tables.append((int(rng.integers(0, ta + 1)), ta, int(rng.integers(0, tb + 1)), tb))
+        h = hashlib.sha256()
+        for table in tables:
+            odds_ratio, p = fisher_exact_2x2(CountTable2x2(*table), convention)
+            h.update(repr((odds_ratio, p.log_value, p.linear)).encode())
+        assert (len(tables), h.hexdigest()) == (53_218, digest)
 
     def test_table_validation(self):
         with pytest.raises(InputValidationError):

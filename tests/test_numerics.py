@@ -431,6 +431,13 @@ class TestLogSumExp:
             log_sum_exp(vals), float(sps.logsumexp(vals)), rel_tol=1e-12, abs_tol=1e-12
         )
 
+    @given(st.lists(st.floats(min_value=-1000, max_value=0) | st.just(-math.inf), max_size=200)
+           .flatmap(lambda vals: st.tuples(st.just(vals), st.permutations(vals))))
+    def test_order_free(self, pair):
+        # fsum is correctly rounded, so any order of the terms gives the same bits.
+        vals, shuffled = pair
+        assert repr(log_sum_exp(shuffled)) == repr(log_sum_exp(vals))
+
     @given(st.lists(st.lists(st.floats(min_value=-700, max_value=0) | st.just(-math.inf),
                              min_size=3, max_size=3), min_size=1, max_size=6))
     def test_rows_against_scalar(self, rows):

@@ -33,6 +33,8 @@ from pcmeta.partial_conjunction import (
     PcCurve,
     PcEntry,
     _BATCH_ENTRIES,
+    _CUT_OFFSETS,
+    _Staged,
     _SubsetRule,
     _half,
     _screen,
@@ -524,6 +526,108 @@ class TestSplitScreen:
         subsets = list(combinations(range(6), 4))
         want = [u for u in subsets if 0 in u] + [(1, 2, 3, 4), (1, 3, 4, 5)]
         assert list(_screen(6, 4, nan_at_zero)) == want
+
+
+class Hidden(_SubsetRule):
+    """The library rule with its stages hidden: the screen finishes every pair."""
+
+    def bind(self, p_values):
+        kernel = super().bind(p_values)
+        return lambda a, b: kernel(a, b)
+
+
+class Counting(_SubsetRule):
+    """The library rule, counting the entries each stage scores per bind."""
+
+    def bind(self, p_values):
+        statistic, finish = super().bind(p_values)
+        self.seen = {"statistic": 0, "finish": 0}
+
+        def counted_statistic(a, b):
+            self.seen["statistic"] += len(a) * len(b)
+            return statistic(a, b)
+
+        def counted_finish(s, size):
+            self.seen["finish"] += len(s)
+            return finish(s, size)
+
+        return _Staged(counted_statistic, counted_finish)
+
+
+def outcome(search, ps, r, factory):
+    try:
+        got = search(ps, r, factory)
+    except NumericDomainError:
+        return "NumericDomainError"
+    return got.log_value, got.linear
+
+
+@st.composite
+def near_tie_studies(draw):
+    """p-values and weights for n <= 12 studies: edges (0, 1, 1e-300, and
+    within 1e-6 of 1, where the weighted rule's z is NaN), free draws, and
+    values a few ulps from a shared base."""
+    n = draw(st.integers(1, 12))
+    base_p = draw(st.floats(min_value=1e-300, max_value=1.0))
+    base_w = draw(st.floats(min_value=0.1, max_value=10.0))
+    ulps = st.integers(-3, 3)
+    p = st.one_of(st.sampled_from((0.0, 1.0, 1e-300, 1.0 - 1e-7, 1.0 - 3e-12)),
+                  st.floats(min_value=1e-300, max_value=1.0),
+                  ulps.map(lambda k: min(1.0, base_p * (1.0 + k * 2.2e-16))))
+    w = st.one_of(st.floats(min_value=0.1, max_value=10.0),
+                  ulps.map(lambda k: base_w * (1.0 + k * 2.2e-16)))
+    return draw(st.lists(p, min_size=n, max_size=n)), draw(st.lists(w, min_size=n, max_size=n))
+
+
+class TestStagedScreen:
+    @pytest.mark.parametrize("method", ["fisher", "stouffer_weighted"])
+    def test_finisher_sees_only_near_best_pairs(self, method):
+        # Distinct p-values: the statistic scores every pair, and the
+        # finisher the ladder and the few pairs near the best statistic.
+        rng = np.random.default_rng(83)
+        ps = pv(*rng.random(16))
+        weights = tuple(rng.uniform(0.5, 3.0, 16)) if method != "fisher" else None
+        factory = Counting(CombinerSpec(method, weights=weights))
+        for r in range(1, 17):
+            got = gbhpc_enumerate(ps, r, factory)
+            assert factory.seen["statistic"] == math.comb(16, 17 - r)
+            assert factory.seen["finish"] <= 36
+            assert got == gbhpc_enumerate(ps, r, Hidden(factory.spec))
+
+    def test_finisher_sees_a_handful_at_n_1000(self):
+        rng = np.random.default_rng(89)
+        ps = pv(*rng.random(1000))
+        factory = Counting(FISHER)
+        got = gbhpc_enumerate(ps, 3, factory)
+        assert factory.seen["statistic"] == math.comb(1000, 998)
+        assert factory.seen["finish"] <= len(_CUT_OFFSETS) + 1 + 5
+        assert math.isclose(got.log_value, bhpc(ps, 3, FISHER).log_value, rel_tol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_tie_studies(), st.integers(0, 2**32 - 1))
+    def test_staged_equals_hidden_stages(self, studies, seed):
+        # Noisy moves each finished value by up to a fifth of the rescoring
+        # tolerance, the ladder's included, so the cut's margin is covered.
+        values, weights = studies
+        rng = np.random.default_rng(seed)
+
+        class Noisy(_SubsetRule):
+            def bind(self, p_values):
+                statistic, finish = super().bind(p_values)
+
+                def noisy(s, size):
+                    v = finish(s, size)  # nan_to_num: -inf and NaN stay as they are
+                    return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1 + abs(np.nan_to_num(v)))
+
+                return _Staged(statistic, noisy)
+
+        ps = pv(*values)
+        for spec in (FISHER, CombinerSpec("stouffer_weighted", weights=weights)):
+            for r in range(1, len(ps) + 1):
+                want = outcome(gbhpc_enumerate, ps, r, Hidden(spec))
+                assert outcome(scalar_max, ps, r, _SubsetRule(spec)) == want
+                for factory in (_SubsetRule(spec), Noisy(spec)):
+                    assert outcome(gbhpc_enumerate, ps, r, factory) == want
 
 
 class TestUnranker:
