@@ -321,16 +321,16 @@ def gbhpc_enumerate(
     The scalar rule scores only the subsets ``_needs_rescore`` keeps
     with the maximum M of the finished non-NaN values as target: NaN
     ones and those within tol = 1e-9 * (1 + |M|) of M.  A kernel's
-    numbers agree with the scalar rule to far less than tol / 2, and
-    the unfinished ones lie 2 tol below M, so every subset attaining
-    the exact maximum is rescored, and the first of them gives the full
-    scalar loop's ``ProbValue``, bit for bit.  NaN marks a subset the kernel cannot
-    score: for the weighted rule, one holding a p of 0 or 1, where the
-    scalar rule raises as it always has.  A kernel value is -inf only
-    where the scalar value is -inf too (a p of 0; for the weighted rule
-    also log p below about -5e307, past |z| ~ 1e154), so when M = -inf
-    the first non-NaN subset stands for all of them.  Other factories
-    take the scalar loop over every subset.
+    numbers agree with the scalar rule to far less than tol / 2, and the
+    unfinished ones lie 2 tol below M, so every subset attaining the
+    exact maximum is rescored, and the first of them gives the full
+    scalar loop's ``ProbValue``, bit for bit.  NaN marks a subset the
+    kernel cannot score: for the weighted rule, one holding a p of 0 or
+    1, where the scalar rule raises as it always has.  A kernel value is
+    -inf only where the scalar value is -inf too (a p of 0; for the
+    weighted rule also log p below about -5e307, past |z| ~ 1e154), so
+    when M = -inf the first non-NaN subset stands for all of them.
+    Other factories take the scalar loop over every subset.
     """
     n = len(ps)
     _check_r(n, r)
