@@ -9,11 +9,11 @@ arithmetic is done on log p-values.
 Every rule also has a row-wise array form (``log_*_rows``) that takes a
 (rows, k) array of log p-values and agrees with the scalar rule to
 roundoff, not bit for bit, or gives NaN where it cannot score a row;
-``combine`` and ``rows_for`` read one table of (scalar, row) forms.  Subset
-enumeration and the Monte Carlo validity oracle score with them, and
-both leave to the scalar rules, which stay exact (``combine_fisher``
-equals ``chisq_sf`` bit for bit), the rows that one rescoring rule,
-``_needs_rescore``, selects: NaN rows and rows near a decision value.
+``combine`` and ``rows_for`` read one table of (scalar, row) forms.  The
+Monte Carlo validity oracle scores with them, and leaves to the scalar
+rules, which stay exact (``combine_fisher`` equals ``chisq_sf`` bit for
+bit), the rows that ``_needs_rescore`` selects: NaN rows and rows near a
+decision value.  Subset enumeration calls only the scalar rules.
 
 ``fisher_exact_2x2`` produces the per-subgroup two-sided p-values used
 by the replicability pipeline when the input data are event counts.
@@ -145,13 +145,8 @@ def log_fisher_rows(log_p: np.ndarray) -> np.ndarray:
     Rows with a p of 0 give -inf and rows of all ones give 0, as in
     ``log_fisher``.
     """
-    return _log_fisher_from_half(-log_p.sum(axis=1), log_p.shape[1])
-
-
-def _log_fisher_from_half(half: np.ndarray, k: int) -> np.ndarray:
-    """``log_fisher`` of k p-values from each entry of a 1-D array of
-    half their chi-square statistics, -sum(log p)."""
-    out = np.minimum(0.0, -half + _log_poisson_head_rows(half, k))
+    half = -log_p.sum(axis=1)  # chi-square statistic / 2
+    out = np.minimum(0.0, -half + _log_poisson_head_rows(half, log_p.shape[1]))
     out[half == np.inf] = _NEG_INF
     return out
 

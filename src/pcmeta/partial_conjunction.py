@@ -11,11 +11,11 @@ constructions are implemented:
   g_u (e.g. a weighted z-rule with weights bound to study indices) are
   expressed through a factory that receives the original indices.  The
   library factories build one rule per ``CombinerSpec``, ``_SubsetRule``,
-  whose array form scores every subset as a pair of half-subsets from
-  two small tables: a cheap statistic for each, then a costly finisher
-  only for those near the best.  The scalar rule rescores only those that
-  ``combiners._needs_rescore`` selects, so the result stays exact.
-  Other factories run the scalar loop over ``itertools.combinations``.
+  which finds the maximum by ``_search``, a depth-first branch and bound
+  over keeping or dropping each study whose bound is the best completion
+  of a partial subset.  The scalar rule scores only the subsets the
+  bound cannot rule out, so the result stays exact.  Other factories run
+  the scalar loop over ``itertools.combinations``.
 
 Monte Carlo studies use the row forms ``bhpc_rows`` and
 ``weighted_gbhpc_rows``: one log p per row of a (reps, n) array.
@@ -37,24 +37,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from numbers import Integral
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .combiners import (
     _RESCORE_RTOL,
     CombinerSpec,
     _check_weights,
-    _log_fisher_from_half,
     _log_simes_sorted_rows,
-    _needs_rescore,
-    _upper_z_rows,
     combine,
     combine_stouffer_weighted,
     log_fisher,
     rows_for,
 )
+from . import numerics
 from .errors import (
     EnumerationBudgetError,
     InputValidationError,
@@ -63,7 +61,7 @@ from .errors import (
     _check_kind,
     _LazyNumpy,
 )
-from .numerics import ProbValue
+from .numerics import ProbValue, std_normal_quantile
 
 np = _LazyNumpy(globals())
 
@@ -86,18 +84,11 @@ __all__ = [
 
 SubsetCombiner = Callable[[Sequence[ProbValue]], ProbValue]
 SubsetCombinerFactory = Callable[[tuple[int, ...]], SubsetCombiner]
-# Approximate log g_u of each u = a + b, rows a, b of two index matrices, row-major
-# (a ``_Staged`` one in two stages: a statistic per pair, then its finisher).
-PairKernel = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 # Entries per structured_subset_combiner memo: enough for every member
 # set of every block when n <= 14; a few MB at most.
 _BLOCK_FISHER_CACHE_SIZE = 1 << 14
-# Indices per kernel call of the enumeration screen (256 kB of intp).
-_BATCH_ENTRIES = 1 << 15
-# Offsets above the best statistic where the screen seeks its cut: 9e-10 to 1024, x4.
-_CUT_OFFSETS = tuple(4.0**k for k in range(-15, 6))
 
 
 @dataclass(frozen=True)
@@ -108,6 +99,8 @@ class GroupPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_kind("n", self.n, Integral, low=0)
+        object.__setattr__(self, "n", int(self.n))
         seen: set[int] = set()
         for block in self.blocks:
             if len(block) == 0:
@@ -176,6 +169,7 @@ def _check_r(n: int, r: int) -> None:
 
 def _check_budget(n: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> None:
     """Raise, before any work, when the C(n, r-1) subsets exceed budget."""
+    _check_kind("budget", budget, Integral, low=0)
     if math.comb(n, r - 1) > budget:
         raise EnumerationBudgetError(
             f"C({n}, {r - 1}) = {math.comb(n, r - 1)} subsets exceeds budget {budget}"
@@ -219,84 +213,47 @@ def bhpc_rows(log_p: np.ndarray, r: int, spec: CombinerSpec) -> np.ndarray:
     return (_log_simes_sorted_rows if spec.method == "simes" else rows_for(spec))(kept)
 
 
-@lru_cache(maxsize=32)  # every half-table of a curve up to n = 30
-def _half(lo: int, hi: int, k: int) -> tuple[int, Callable[..., np.ndarray]]:
-    """The k-subsets of range(lo, hi) in ``itertools.combinations`` order:
-    their count and a map from a slice or index array of them to their
-    ``intp`` rows.  Past k = (hi - lo) / 2 they are the masks of their
-    complements in reverse lex order, built per slice past ``_BATCH_ENTRIES``."""
-    m, j = hi - lo, min(k, hi - lo - k)
-    table = np.array(list(combinations(range(lo, hi), j)), np.intp)  # (count, j), j = 0 too
-    if j < k:
-        dropped = table[::-1] - lo
+def _search(walk: tuple, size: int, score: Callable[[tuple[int, ...]], ProbValue]) -> ProbValue:
+    """The scalar loop's maximum of g over the ``size``-subsets.
 
-        def rows(which) -> np.ndarray:
-            mask = np.ones((len(part := dropped[which]), m), dtype=bool)
-            mask[np.arange(len(part))[:, None], part] = False
-            return np.nonzero(mask)[1].reshape(len(part), k) + lo
-
-        if len(table) * k > _BATCH_ENTRIES:
-            return len(table), rows
-        table = rows(slice(None))
-    table.flags.writeable = False  # cached: shared by every screen
-    return len(table), table.__getitem__
-
-
-def _screen(n: int, size: int, kernel: PairKernel) -> Iterator[tuple[int, ...]]:
-    """Yield the subsets of size ``size``, in enumeration order, that
-    ``_needs_rescore`` selects with the approximate maximum M as target.
-
-    Split at h = n // 2, a subset is an a-subset of studies 0..h-1 and
-    a (size - a)-subset of h..n-1.  For each a the kernel's statistic
-    (minus its value if it has no stages) scores the product of the two
-    ``_half`` tables into one array of C(n, size) floats, slices of about
-    ``_BATCH_ENTRIES`` indices at a time.  The finisher, non-increasing
-    up to an error far below tol, runs on the least statistic s and on s
-    plus each of ``_CUT_OFFSETS``: the first whose value is 2 tol below
-    s's is the cut.  Only pairs at or below it and NaN ones are finished
-    (all if no cut or s's value is -inf): past it none is near M or can
-    attain the exact maximum.  Kept pairs become ascending tuples a
-    slice at a time, each split's in ``itertools.combinations`` order; a
-    merge of the splits keeps it.
-    When M = -inf the first non-NaN subset of each split is kept: the
-    smallest of them comes first and stands for all of them.
+    ``walk`` is (order, keys, start, keep, bound): the study indices in
+    walk order, a key per position, and the bound with its state.  A
+    node keeps the studies before position j that gave ``state`` (by
+    ``keep(state, j)`` from ``start``) and m more from j on; ``bound(state,
+    j, m)`` is at least log g of every such subset, up to roundoff far
+    below tol = 1e-9 * (1 + |best|), best the largest score so far.
+    ``score`` gives g of a subset's indices in walk order.
+    ``gbhpc_enumerate`` gives the walk and its pruning.
     """
-    stages = kernel if isinstance(kernel, _Staged) else _Staged(
-        lambda a, b: -kernel(a, b), lambda s, _: -s)
-    h = n // 2
-    splits = [(_half(0, h, a), _half(h, n, size - a))
-              for a in range(max(0, size - n + h), min(h, size) + 1)]
-    cuts = np.cumsum([rows_a * rows_b for (rows_a, _), (rows_b, _) in splits])
-    stat = np.empty(cuts[-1])
-    for ((rows_a, low), (rows_b, high)), part in zip(splits, np.split(stat, cuts[:-1])):
-        block = part.reshape(rows_a, rows_b)
-        cols = min(rows_b, max(1, _BATCH_ENTRIES // size))
-        step = max(1, _BATCH_ENTRIES // (size * cols))
-        for j in range(0, rows_b, cols):
-            b = high(slice(j, j + cols))
-            for i in range(0, rows_a, step):
-                a = low(slice(i, i + step))
-                block[i : i + step, j : j + cols] = stages.statistic(a, b).reshape(len(a), len(b))
-
-    def pairs(picked: np.ndarray, rows_b: int, low, high) -> Iterator[tuple[int, ...]]:
-        step = max(1, _BATCH_ENTRIES // size)
-        for start in range(0, len(picked), step):
-            i, j = np.divmod(picked[start : start + step], rows_b)
-            yield from map(tuple, np.hstack((low(i), high(j))).tolist())
-
-    ladder = np.fmin.reduce(stat, initial=math.inf) + np.array((0.0, *_CUT_OFFSETS))
-    values = stages.finish(ladder, size)  # at the NaN-ignoring least statistic, then above
-    past = ladder[values < values[0] - 2 * _RESCORE_RTOL * (1.0 + abs(values[0]))]
-    near = np.flatnonzero(~(stat > (past[0] if len(past) else math.inf)))  # NaN too
-    approx = stages.finish(stat[near], size)
-    top = np.fmax.reduce(approx, initial=-math.inf)  # NaN-ignoring max
-    keep = np.zeros(len(stat), dtype=bool)
-    keep[near] = np.isnan(approx) if top == -math.inf else _needs_rescore(approx, [top])
-    for part in np.split(keep, cuts[:-1]) if top == -math.inf else ():
-        part[part.argmin()] = True  # and the first non-NaN pair of each split
-    from heapq import merge  # only the screen needs it
-    return merge(*(pairs(np.flatnonzero(part), rows_b, low, high)
-                   for ((_, low), (rows_b, high)), part in zip(splits, np.split(keep, cuts[:-1]))))
+    order, keys, state, keep, bound = walk
+    n = len(order)
+    ends = list(range(1, n + 1))  # ends[j]: the position past the run of keys[j]
+    for i in range(n - 2, -1, -1):
+        if keys[i] == keys[i + 1]:
+            ends[i] = ends[i + 1]
+    best, first, floor = None, [], math.nan  # floor = best - 2 tol, NaN before any score
+    kept: list[int] = []
+    keeps: list[tuple] = []  # branches left to walk: (position, m, len(kept), state)
+    j, m = 0, size
+    while True:
+        if not bound(state, j, m) <= floor:
+            if 0 < m < n - j:
+                keeps.append((j, m, len(kept), state))
+                if ends[j] <= n - m:  # dropping j drops the rest of its run
+                    j = ends[j]
+                    continue
+            else:
+                value = score(u := (*kept, *order[n - m :]))  # m = 0 or m = n - j
+                if best is None or value > best or value == best and sorted(u) < first:
+                    best, first = value, sorted(u)
+                floor = best.log_value - 2 * _RESCORE_RTOL * (1.0 + abs(best.log_value))
+                if best.is_one:
+                    return best
+        if not keeps:
+            return best
+        j, m, depth, state = keeps.pop()
+        kept[depth:] = [order[j]]
+        j, m, state = j + 1, m - 1, keep(state, j)
 
 
 def gbhpc_enumerate(
@@ -312,66 +269,51 @@ def gbhpc_enumerate(
     depend on the identity of the studies, never on sort rank.  The
     budget on C(n, r-1) is checked before any work.
 
-    Subsets are visited in ``itertools.combinations`` order and the
-    first subset attaining the maximum (strict ``>``) gives the result.
-    With a factory from ``fixed_subset_combiner`` (any symmetric rule,
-    TPM included) or ``weighted_subset_combiner``, ``_screen`` first
-    scores every subset's statistic (C(n, r-1) floats, at most 8 MB
-    within the default budget) and finishes only those near the best.
-    The scalar rule scores only the subsets ``_needs_rescore`` keeps
-    with the maximum M of the finished non-NaN values as target: NaN
-    ones and those within tol = 1e-9 * (1 + |M|) of M.  A kernel's
-    numbers agree with the scalar rule to far less than tol / 2, and the
-    unfinished ones lie 2 tol below M, so every subset attaining the
-    exact maximum is rescored, and the first of them gives the full
-    scalar loop's ``ProbValue``, bit for bit.  NaN marks a subset the
-    kernel cannot score: for the weighted rule, one holding a p of 0 or
-    1, where the scalar rule raises as it always has.  A kernel value is
-    -inf only where the scalar value is -inf too (a p of 0; for the
-    weighted rule also log p below about -5e307, past |z| ~ 1e154), so
-    when M = -inf the first non-NaN subset stands for all of them.
-    Other factories take the scalar loop over every subset.
+    The result is the scalar loop's: the value of the first subset in
+    ``itertools.combinations`` order that attains the maximum (strict
+    ``>``).  Other factories run that loop.  Factories from
+    ``fixed_subset_combiner`` and ``weighted_subset_combiner`` get the
+    same ``ProbValue`` from ``_search``.  It walks the studies depth first,
+    dropping then keeping each, and bounds log g over every completion
+    of a partial subset that needs m more studies:
+    * a symmetric rule walks by ascending log p; its bound is the rule
+      on the kept p-values plus the m largest left;
+    * the weighted z-rule walks heaviest weight first, with the rule's
+      z.  With S, W the sums of w z and w^2 kept, t >= (S + the m
+      smallest w z left) / sqrt(W + X), X the sum of the m largest w^2
+      left if the numerator is >= 0, else of the m smallest; the bound
+      is log Phi(-t).
+    Each rule is non-decreasing in every p up to roundoff far below tol
+    = 1e-9 * (1 + |best|), so nothing under a bound 2 tol below the best
+    score attains the maximum; the scalar rule scores every subset left,
+    and a tie keeps the smaller sorted index tuple.  Once a subset is
+    scored, -inf bounds are pruned (a -inf maximum has the same bits in
+    every subset), and a score of 0 ends the walk.  Swapping studies of
+    equal key (log p; w z and w^2) keeps every bit of g, and equal keys
+    are walked by index, so dropping a study drops the rest of its run
+    of equal keys: a subset that keeps a later one has the same value as
+    the swapped subset, which comes first in ``combinations`` order.
     """
     n = len(ps)
     _check_r(n, r)
     _check_budget(n, r, budget)
     size = n - r + 1
     if isinstance(g, _SubsetRule):
-        subsets = _screen(n, size, g.bind(ps))
-    else:
-        subsets = combinations(range(n), size)
+        return g.search(ps, size)
     best: ProbValue | None = None
-    for u in subsets:
+    for u in combinations(range(n), size):
         value = g(u)([ps[i] for i in u])
         if best is None or value.log_value > best.log_value:
             best = value
     return best
 
 
-def _pair_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sum of ``values`` over each pair of an a row and a b row, row-major."""
-    return np.add.outer(values[a].sum(axis=1), values[b].sum(axis=1)).ravel()
-
-
-class _Staged(NamedTuple):
-    """A ``PairKernel`` as a cheap statistic per pair and its finisher."""
-
-    statistic: PairKernel
-    finish: Callable[["np.ndarray", int], "np.ndarray"]  # (s, size): non-increasing in s
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.finish(self.statistic(a, b), a.shape[1] + b.shape[1])
-
-
 @dataclass(frozen=True)
 class _SubsetRule:
     """The subset rule g_u of one ``CombinerSpec``: called with a subset u
     it returns the scalar combiner, with any weights restricted to u.
-    ``bind(ps)`` returns a ``PairKernel``: ``_Staged`` for Fisher (sum of
-    -log p, then the Poisson tail) and the weighted z-rule (t = sum w z /
-    sqrt(sum w^2), then log Phi(-t); z from ``combiners._upper_z_rows`` is
-    NaN at a p of 0 or within 1e-6 of 1, which the scalar rule settles),
-    and ``rows_for`` on the paired rows for the other rules."""
+    ``walk(ps)`` is its walk for ``_search`` (order, keys and bound, as
+    ``gbhpc_enumerate`` gives them), and ``search(ps, size)`` runs it."""
 
     spec: CombinerSpec
 
@@ -382,22 +324,35 @@ class _SubsetRule:
         w_u = [spec.weights[i] for i in u]
         return lambda p_u: combine_stouffer_weighted(p_u, w_u)
 
-    def bind(self, ps: Sequence[ProbValue]) -> PairKernel:
-        spec, log_p = self.spec, np.array([p.log_value for p in ps])
-        if spec.method == "fisher":
-            return _Staged(lambda a, b: _pair_sums(-log_p, a, b), _log_fisher_from_half)
-        if spec.method == "stouffer_weighted":
-            from scipy import special
+    def walk(self, ps: Sequence[ProbValue]) -> tuple:
+        """The walk of ``_search`` over ``ps``.  The weighted one keeps the
+        sums of w z and w^2 kept; ``rests[j]`` is w z from position j on,
+        ascending, and ``tails[j]`` the sum of w^2 from j on."""
+        spec, n = self.spec, len(ps)
+        if spec.weights is None:
+            order = sorted(range(n), key=lambda i: ps[i].log_value)
+            ascending = [ps[i] for i in order]
+            return (order, [p.log_value for p in ascending], (),
+                    lambda kept, j: (*kept, ascending[j]),
+                    lambda kept, j, m: combine(spec, [*kept, *ascending[n - m :]]).log_value)
+        w = spec.weights
+        combine_stouffer_weighted(ps, w)  # raises on a wrong weight count or a p of 0 or 1
+        wz = [wi * -std_normal_quantile(p) for wi, p in zip(w, ps)]
+        order = sorted(range(n), key=lambda i: (-w[i] * w[i], wz[i]))
+        wz, ww = [wz[i] for i in order], [w[i] * w[i] for i in order]
+        tails = [*accumulate(reversed(ww), initial=0.0)][::-1]
+        rests = [*accumulate(reversed(wz), lambda rest, x: sorted((x, *rest)), initial=())][::-1]
 
-            w = np.array(spec.weights)
-            if len(ps) != len(w):
-                raise InputValidationError(f"{len(w)} weights for {len(ps)} p-values")
-            wz, ww = w * _upper_z_rows(log_p), w * w
-            return _Staged(lambda a, b: _pair_sums(wz, a, b) / np.sqrt(_pair_sums(ww, a, b)),
-                           lambda t, _: special.log_ndtr(-t))
-        rows = rows_for(spec)
-        return lambda a, b: rows(np.hstack(
-            (np.repeat(log_p[a], len(b), axis=0), np.tile(log_p[b], (len(a), 1)))))
+        def bound(sums: tuple[float, float], j: int, m: int) -> float:
+            low = sums[0] + sum(rests[j][:m])
+            squares = tails[j] - tails[j + m] if low >= 0.0 else tails[n - m]
+            return numerics._log_ndtr(-low / math.sqrt(sums[1] + squares))
+
+        return (order, list(zip(wz, ww)), (0.0, 0.0),
+                lambda sums, j: (sums[0] + wz[j], sums[1] + ww[j]), bound)
+
+    def search(self, ps: Sequence[ProbValue], size: int) -> ProbValue:
+        return _search(self.walk(ps), size, lambda u: self(u)([ps[i] for i in u]))
 
 
 def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
@@ -410,7 +365,7 @@ def fixed_subset_combiner(spec: CombinerSpec) -> SubsetCombinerFactory:
 def weighted_subset_combiner(weights: Sequence[float]) -> SubsetCombinerFactory:
     """Factory for the weighted z-rule with weights bound to studies:
     subset u is combined with the weights ``weights[i]`` for i in u.
-    Binding it to other than one p-value per weight raises before any
+    Enumerating other than one p-value per weight raises before any
     subset is scored."""
     return _SubsetRule(CombinerSpec("stouffer_weighted", weights=weights))
 

@@ -56,12 +56,12 @@ NO_NUMPY_COMMANDS = [
     ["pc", "noac.csv", "--method", "tpm", "--gamma", "0.2"],
     ["pc", "noac.csv", "--groups"],
     ["pc", "noac.csv", "--r", "3"],
+    ["pc", "noac.csv", "--enumerate", "--r", "9"],
     ["exact2x2", "counts.csv"],
     ["dataset"],
 ]
 # Commands with array kernels: each must load numpy on its own.
 NUMPY_COMMANDS = {
-    "pc_enumerate": ["pc", "noac.csv", "--enumerate", "--r", "9"],
     "oracle_validity": ["oracle", "validity", "--method", "fisher", "--k", "5", "--reps",
                         "10000", "--seed", "1"],
     "simulate": SCIPY_COMMANDS["simulate"],

@@ -15,6 +15,7 @@ from pcmeta.counterexample import region_phi, region_phi_prime, region_phi_tilde
 from pcmeta.errors import InputValidationError, NumericDomainError
 from pcmeta.numerics import ProbValue, chisq_sf
 from pcmeta.partial_conjunction import (
+    GroupPartition,
     PcCurve,
     gbhpc_enumerate,
     pc_curve,
@@ -87,11 +88,19 @@ def test_weight_count_must_match_the_p_values(count):
     factory = weighted_subset_combiner([1.0] * count)
     message = f"{count} weights for 5 p-values"
     with pytest.raises(InputValidationError, match=message):
-        factory.bind(PS)
-    with pytest.raises(InputValidationError, match=message):
         gbhpc_enumerate(PS, 2, factory)
     with pytest.raises(InputValidationError, match=message):
         pc_curve(PS, 0.05, g=factory)
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5, True, "x", None, -1])
+def test_budget_and_partition_size_are_integers(value):
+    # A NaN budget would compare false with every count and turn the budget off.
+    with pytest.raises(InputValidationError, match="^budget"):
+        gbhpc_enumerate(PS, 2, lambda u: None, budget=value)
+    with pytest.raises(InputValidationError, match=r"^n\b"):
+        GroupPartition(value, ((0,),))
+    assert type(GroupPartition(np.int64(1), ((0,),)).n) is int
 
 
 @pytest.mark.parametrize("dof, error", [

@@ -4,7 +4,7 @@ import hashlib
 import math
 import random
 import time
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -32,12 +32,7 @@ from pcmeta.partial_conjunction import (
     GroupPartition,
     PcCurve,
     PcEntry,
-    _BATCH_ENTRIES,
-    _CUT_OFFSETS,
-    _Staged,
     _SubsetRule,
-    _half,
-    _screen,
     bhpc,
     bhpc_rows,
     extract_component,
@@ -274,11 +269,9 @@ def assert_array_path_exact(ps, weights, rs=None, names=None):
             assert got.linear == want.linear, (name, r)
 
 
-# p-values that stress the screen: the {0, 1} edges, a value near the
+# p-values that stress the search: the {0, 1} edges, a value near the
 # bottom of double range, and a few values that make ties.
 EDGE_PS = (0.0, 1.0, 1e-300, 0.05, 0.5)
-# The empty half-subset: a kernel called with it scores the other table's rows.
-NO_STUDIES = np.empty((1, 0), dtype=np.intp)
 
 
 class TestArrayPath:
@@ -336,26 +329,14 @@ class TestArrayPath:
                 want = scalar_max(ps, r, factory)
                 assert (got.log_value, got.linear) == (want.log_value, want.linear)
 
-    def test_screen_tolerates_kernel_error(self):
-        # A kernel off by up to 2e-10 (1 + |v|), a fifth of the screen's
+    def test_search_tolerates_bound_error(self):
+        # Bounds off by up to 2e-10 (1 + |v|), a fifth of the search's
         # tolerance, on p-values a few ulps apart: every subset is a near
-        # tie, the exact maximum is the first subset and the approximate
-        # maximum falls in a later chunk.  The result must stay exact.
-        rng = np.random.default_rng(79)
+        # tie and the exact maximum is the first subset.  The result must
+        # stay exact.
         ps = pv(*(0.3 * (1.0 - 1e-15 * np.arange(14))))
         fisher = fixed_subset_combiner(FISHER)
-
-        class Noisy(_SubsetRule):
-            def bind(self, p_values):
-                kernel = super().bind(p_values)
-
-                def noisy(a, b):
-                    v = kernel(a, b)
-                    return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1.0 + np.abs(v))
-
-                return noisy
-
-        factory = Noisy(FISHER)
+        factory = Noisy(FISHER, random.Random(79))
         for r in (2, 5, 8, 11):
             got = gbhpc_enumerate(ps, r, factory)
             want = scalar_max(ps, r, fisher)
@@ -388,23 +369,11 @@ class TestArrayPath:
                 want = scalar_max(ps, r, factory)
                 assert (got.log_value, got.linear) == (want.log_value, want.linear)
 
-    def test_weighted_array_form_nan_at_zero_and_one(self):
-        ps = pv(0.2, 0.0, 0.05, 1.0, 0.6)
-        kernel = weighted_subset_combiner([1.0, 2.0, 0.5, 1.5, 3.0]).bind(ps)
-        idx = np.array(list(combinations(range(5), 3)))
-        values = kernel(idx, NO_STUDIES)
-        holds_edge = np.isin(idx, [1, 3]).any(axis=1)
-        assert np.isnan(values[holds_edge]).all()
-        assert np.isfinite(values[~holds_edge]).all()
-
-    def test_weighted_array_form_near_one_is_rescored(self):
-        # Within 1e-6 of 1 the shared p -> z transform gives NaN, so the
-        # subsets holding such a p are scored by the scalar rule.
+    def test_weighted_near_one_equals_scalar_loop(self):
+        # Within 1e-6 of 1, where exp of log p may round to 1, the search
+        # takes z from the scalar rule's own quantile.
         ps = pv(0.2, 1.0 - 1e-7, 0.05, 1.0 - 1e-12, 0.6)
         weights = [1.0, 2.0, 0.5, 1.5, 3.0]
-        kernel = weighted_subset_combiner(weights).bind(ps)
-        idx = np.array(list(combinations(range(5), 3)))
-        assert np.isnan(kernel(idx, NO_STUDIES)[np.isin(idx, [1, 3]).any(axis=1)]).all()
         assert_array_path_exact(ps, weights, names=("stouffer",))
 
     def test_stouffer_raises_at_zero_and_one(self):
@@ -446,112 +415,41 @@ class TestArrayPath:
         assert calls == []
 
 
-class TestSplitScreen:
-    def test_half_tables_in_combinations_order(self, monkeypatch):
-        # Both storages: the subsets themselves, and (past half of the
-        # pool) their complements, expanded once or a slice at a time.
-        for entries in (_BATCH_ENTRIES, 0):
-            monkeypatch.setattr(partial_conjunction, "_BATCH_ENTRIES", entries)
-            for lo, hi in [(0, 0), (0, 1), (0, 6), (3, 10), (9, 18)]:
-                for k in range(hi - lo + 1):
-                    want = np.array(list(combinations(range(lo, hi), k)), dtype=np.intp)
-                    count, rows = _half.__wrapped__(lo, hi, k)  # not the cached table
-                    assert count == len(want)
-                    assert np.array_equal(rows(slice(None)), want.reshape(count, k))
-                    picks = np.random.default_rng(hi + k).integers(0, count, 7)
-                    assert np.array_equal(rows(picks), want.reshape(count, k)[picks])
+class Noisy(_SubsetRule):
+    """The library rule with each bound moved by up to 2e-10 (1 + |v|), a
+    fifth of the search's tolerance; -inf stays as it is."""
 
-    def test_all_tied_yields_combinations_order(self):
-        # Every subset ties, so every one is kept: the screen's output is
-        # all subsets, in the order of the scalar loop.
-        for n in range(1, 13):
-            for factory in array_factories([1.0] * n).values():
-                kernel = factory.bind(pv(*[0.3] * n))
-                for size in range(1, n + 1):
-                    assert list(_screen(n, size, kernel)) == list(combinations(range(n), size))
+    def __init__(self, spec, rnd):
+        super().__init__(spec)
+        self.rnd = rnd
 
-    @pytest.mark.parametrize("n, size", [(1000, 999), (40, 5), (22, 11)])
-    def test_kernel_calls_stay_within_batch(self, n, size):
-        calls = []
+    def walk(self, p_values):
+        order, keys, start, keep, bound = super().walk(p_values)
 
-        def recording(a, b):
-            calls.append(len(a) * len(b))
-            assert len(a) * len(b) * size <= max(size, _BATCH_ENTRIES)
-            assert a.shape[1] + b.shape[1] == size
-            return -np.add.outer(a.sum(axis=1), b.sum(axis=1)).ravel()
+        def noisy(state, j, m):
+            v = bound(state, j, m)
+            return v + self.rnd.uniform(-2e-10, 2e-10) * (1.0 + abs(v)) if v > -math.inf else v
 
-        # -(sum of indices) is largest at the first subset alone.
-        assert list(_screen(n, size, recording)) == [tuple(range(size))]
-        assert sum(calls) == math.comb(n, size)
-
-    @pytest.mark.parametrize(
-        "n, size, entries, take",
-        [(1000, 998, _BATCH_ENTRIES, 3000), (30, 27, 256, None), (18, 9, 256, None)],
-    )
-    def test_kept_subsets_built_a_slice_at_a_time(self, monkeypatch, n, size, entries, take):
-        # Every subset ties, so every one is kept.  Each half-table lookup
-        # is checked before it runs: an oversized one fails unbuilt.  At
-        # n = 1000 all 499,500 kept subsets of 998 would take over 10 GB.
-        monkeypatch.setattr(partial_conjunction, "_BATCH_ENTRIES", entries)
-        tables = _half.__wrapped__  # not the cached tables of other sizes
-
-        def checked_half(lo, hi, k):
-            count, rows = tables(lo, hi, k)
-
-            def checked(which):
-                picked = len(range(count)[which]) if isinstance(which, slice) else len(which)
-                assert picked * k <= max(k, entries)
-                return rows(which)
-
-            return count, checked
-
-        monkeypatch.setattr(partial_conjunction, "_half", checked_half)
-        tied = lambda a, b: np.zeros(len(a) * len(b))
-        got = list(islice(_screen(n, size, tied), take))
-        assert got == list(islice(combinations(range(n), size), take))
-
-    def test_minus_inf_keeps_nan_and_the_first_scored_subset_of_each_split(self):
-        # Every 4-subset of 6 holds a p of 0, so each Fisher value is -inf.
-        # Splits at h = 3 take a = 1, 2 and 3 of the studies 0, 1 and 2.
-        ps = pv(0.2, 0.5, 0.9, 0.0, 0.0, 0.0)
-        kernel = fixed_subset_combiner(FISHER).bind(ps)
-        assert list(_screen(6, 4, kernel)) == [(0, 1, 2, 3), (0, 1, 3, 4), (0, 3, 4, 5)]
-        got = gbhpc_enumerate(ps, 3, fixed_subset_combiner(FISHER))
-        assert got.log_value == scalar_max(ps, 3, fixed_subset_combiner(FISHER)).log_value
-
-        def nan_at_zero(a, b):
-            holds_zero = np.repeat((a == 0).any(axis=1), len(b))
-            return np.where(holds_zero, math.nan, -math.inf)
-
-        subsets = list(combinations(range(6), 4))
-        want = [u for u in subsets if 0 in u] + [(1, 2, 3, 4), (1, 3, 4, 5)]
-        assert list(_screen(6, 4, nan_at_zero)) == want
-
-
-class Hidden(_SubsetRule):
-    """The library rule with its stages hidden: the screen finishes every pair."""
-
-    def bind(self, p_values):
-        kernel = super().bind(p_values)
-        return lambda a, b: kernel(a, b)
+        return order, keys, start, keep, noisy
 
 
 class Counting(_SubsetRule):
-    """The library rule, counting the entries each stage scores per bind."""
+    """The library rule, counting the nodes (bounds) and the subsets that
+    the scalar rule scores in each search."""
 
-    def bind(self, p_values):
-        statistic, finish = super().bind(p_values)
-        self.seen = {"statistic": 0, "finish": 0}
+    def walk(self, p_values):
+        order, keys, start, keep, bound = super().walk(p_values)
+        self.nodes = self.scores = 0
 
-        def counted_statistic(a, b):
-            self.seen["statistic"] += len(a) * len(b)
-            return statistic(a, b)
+        def counted(state, j, m):
+            self.nodes += 1
+            return bound(state, j, m)
 
-        def counted_finish(s, size):
-            self.seen["finish"] += len(s)
-            return finish(s, size)
+        return order, keys, start, keep, counted
 
-        return _Staged(counted_statistic, counted_finish)
+    def __call__(self, u):
+        self.scores += 1
+        return super().__call__(u)
 
 
 def outcome(search, ps, r, factory):
@@ -565,7 +463,7 @@ def outcome(search, ps, r, factory):
 @st.composite
 def near_tie_studies(draw):
     """p-values and weights for n <= 12 studies: edges (0, 1, 1e-300, and
-    within 1e-6 of 1, where the weighted rule's z is NaN), free draws, and
+    within 1e-6 of 1, where exp of log p may round to 1), free draws, and
     values a few ulps from a shared base."""
     n = draw(st.integers(1, 12))
     base_p = draw(st.floats(min_value=1e-300, max_value=1.0))
@@ -579,55 +477,56 @@ def near_tie_studies(draw):
     return draw(st.lists(p, min_size=n, max_size=n)), draw(st.lists(w, min_size=n, max_size=n))
 
 
-class TestStagedScreen:
-    @pytest.mark.parametrize("method", ["fisher", "stouffer_weighted"])
-    def test_finisher_sees_only_near_best_pairs(self, method):
-        # Distinct p-values: the statistic scores every pair, and the
-        # finisher the ladder and the few pairs near the best statistic.
-        rng = np.random.default_rng(83)
-        ps = pv(*rng.random(16))
-        weights = tuple(rng.uniform(0.5, 3.0, 16)) if method != "fisher" else None
-        factory = Counting(CombinerSpec(method, weights=weights))
-        for r in range(1, 17):
-            got = gbhpc_enumerate(ps, r, factory)
-            assert factory.seen["statistic"] == math.comb(16, 17 - r)
-            assert factory.seen["finish"] <= 36
-            assert got == gbhpc_enumerate(ps, r, Hidden(factory.spec))
-
-    def test_finisher_sees_a_handful_at_n_1000(self):
-        rng = np.random.default_rng(89)
-        ps = pv(*rng.random(1000))
-        factory = Counting(FISHER)
-        got = gbhpc_enumerate(ps, 3, factory)
-        assert factory.seen["statistic"] == math.comb(1000, 998)
-        assert factory.seen["finish"] <= len(_CUT_OFFSETS) + 1 + 5
-        assert math.isclose(got.log_value, bhpc(ps, 3, FISHER).log_value, rel_tol=1e-12)
-
+class TestSearch:
     @settings(max_examples=150, deadline=None)
     @given(near_tie_studies(), st.integers(0, 2**32 - 1))
-    def test_staged_equals_hidden_stages(self, studies, seed):
-        # Noisy moves each finished value by up to a fifth of the rescoring
-        # tolerance, the ladder's included, so the cut's margin is covered.
+    def test_equals_scalar_loop(self, studies, seed):
+        # Each rule's search, and the same with every bound moved by up to
+        # a fifth of the tolerance, give the scalar loop's bits, or both
+        # raise NumericDomainError.
         values, weights = studies
-        rng = np.random.default_rng(seed)
-
-        class Noisy(_SubsetRule):
-            def bind(self, p_values):
-                statistic, finish = super().bind(p_values)
-
-                def noisy(s, size):
-                    v = finish(s, size)  # nan_to_num: -inf and NaN stay as they are
-                    return v + rng.uniform(-2e-10, 2e-10, len(v)) * (1 + abs(np.nan_to_num(v)))
-
-                return _Staged(statistic, noisy)
-
         ps = pv(*values)
-        for spec in (FISHER, CombinerSpec("stouffer_weighted", weights=weights)):
+        for factory in array_factories(weights).values():
+            noisy = Noisy(factory.spec, random.Random(seed))
             for r in range(1, len(ps) + 1):
-                want = outcome(gbhpc_enumerate, ps, r, Hidden(spec))
-                assert outcome(scalar_max, ps, r, _SubsetRule(spec)) == want
-                for factory in (_SubsetRule(spec), Noisy(spec)):
-                    assert outcome(gbhpc_enumerate, ps, r, factory) == want
+                want = outcome(scalar_max, ps, r, factory)
+                assert outcome(gbhpc_enumerate, ps, r, factory) == want
+                assert outcome(gbhpc_enumerate, ps, r, noisy) == want
+
+    @pytest.mark.parametrize("spec", [FISHER, SIMES, BONF, TPM])
+    def test_all_ones_take_a_node_per_study(self, spec):
+        # Every p = 1: every subset ties at 0, so the first one scored ends
+        # the walk; equal keys keep it from trying other orders.
+        factory = Counting(spec)
+        got = gbhpc_enumerate(pv(*[1.0] * 24), 9, factory)
+        assert got == ProbValue.one()
+        assert factory.nodes <= 24 and factory.scores == 1
+
+    def test_distinct_p_at_n_1000_score_a_handful(self):
+        # C(1000, 2) = 499,500 subsets per rule; TPM's scalar rule costs
+        # O(n^2) per call, so it is left to the NOAC cases.
+        rnd = random.Random(89)
+        ps = pv(*[rnd.random() for _ in range(1000)])
+        weights = [rnd.uniform(0.5, 3.0) for _ in range(1000)]
+        for name, factory in array_factories(weights).items():
+            if name == "tpm":
+                continue
+            counting = Counting(factory.spec)
+            got = gbhpc_enumerate(ps, 3, counting)
+            assert counting.scores <= 12, name
+            if name != "stouffer":
+                assert got == bhpc(ps, 3, factory.spec), name
+
+    def test_bundled_weighted_curve_node_count(self, bundled_pvalue_records, bundled_pvalues):
+        # The node count of the bundled weighted curve, recorded when the
+        # search was written: a change to the walk that visits more fails.
+        factory = Counting(CombinerSpec(
+            "stouffer_weighted", weights=stouffer_weights_from_records(bundled_pvalue_records)))
+        nodes = 0
+        for r in range(1, len(bundled_pvalues) + 1):
+            gbhpc_enumerate(bundled_pvalues, r, factory)
+            nodes += factory.nodes
+        assert nodes <= 2298
 
 
 class TestUnranker:
