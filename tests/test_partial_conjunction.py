@@ -434,12 +434,12 @@ class Noisy(_SubsetRule):
 
 
 class Counting(_SubsetRule):
-    """The library rule, counting the nodes (bounds) and the subsets that
-    the scalar rule scores in each search."""
+    """The library rule, counting the nodes (bounds) of each search and
+    recording, as sorted index tuples, the subsets that it scores."""
 
     def walk(self, p_values):
+        self.nodes, self.scored = 0, []
         order, keys, start, keep, bound = super().walk(p_values)
-        self.nodes = self.scores = 0
 
         def counted(state, j, m):
             self.nodes += 1
@@ -447,8 +447,12 @@ class Counting(_SubsetRule):
 
         return order, keys, start, keep, counted
 
+    @property
+    def scores(self):
+        return len(self.scored)
+
     def __call__(self, u):
-        self.scores += 1
+        self.scored.append(tuple(sorted(u)))
         return super().__call__(u)
 
 
@@ -501,6 +505,44 @@ class TestSearch:
         got = gbhpc_enumerate(pv(*[1.0] * 24), 9, factory)
         assert got == ProbValue.one()
         assert factory.nodes <= 24 and factory.scores == 1
+
+    def test_all_tied_score_the_first_subset_alone(self):
+        # Every key ties, so the walk keeps the first size studies and
+        # stops: the one subset scored is the first in combinations order.
+        for n in range(1, 13):
+            ps = pv(*[0.3] * n)
+            for name, factory in array_factories([1.0] * n).items():
+                counting = Counting(factory.spec)
+                for r in range(1, n + 1):
+                    got = gbhpc_enumerate(ps, r, counting)
+                    want = scalar_max(ps, r, factory)
+                    assert (got.log_value, got.linear) == (want.log_value, want.linear)
+                    assert counting.scored == [tuple(range(n - r + 1))], (name, n, r)
+                    assert counting.nodes <= n, (name, n, r)
+
+    @pytest.mark.parametrize("spec", [FISHER, SIMES, BONF, TPM])
+    def test_minus_inf_scores_one_subset(self, spec):
+        # Every 4-subset of 6 holds a p of 0, so each value is -inf: once
+        # the first subset is scored, every -inf bound is pruned.
+        ps = pv(0.2, 0.5, 0.9, 0.0, 0.0, 0.0)
+        counting = Counting(spec)
+        got = gbhpc_enumerate(ps, 3, counting)
+        assert got.log_value == scalar_max(ps, 3, fixed_subset_combiner(spec)).log_value == -math.inf
+        assert counting.scored == [(0, 1, 2, 3)]
+
+    @pytest.mark.parametrize("values, weights, error", [
+        ((0.2, 0.0, 0.05, 1.0, 0.6), (1.0, 2.0, 0.5, 1.5, 3.0), NumericDomainError),
+        ((0.2, 0.3, 0.05, 1.0, 0.6), (1.0, 2.0, 0.5, 1.5, 3.0), NumericDomainError),
+        ((0.2, 0.3, 0.05, 0.4, 0.6), (1.0, 2.0, 0.5, 1.5), InputValidationError),
+    ])
+    def test_weighted_refusals_come_before_any_node(self, values, weights, error):
+        # A p of 0 or 1 and a wrong weight count are refused when the walk
+        # is built, whatever r, so no bound is taken and no subset scored.
+        counting = Counting(CombinerSpec("stouffer_weighted", weights=weights))
+        for r in range(1, len(values) + 1):
+            with pytest.raises(error):
+                gbhpc_enumerate(pv(*values), r, counting)
+            assert counting.nodes == 0 and counting.scored == []
 
     def test_distinct_p_at_n_1000_score_a_handful(self):
         # C(1000, 2) = 499,500 subsets per rule; TPM's scalar rule costs
