@@ -33,6 +33,7 @@ from .numerics import (
     _log_poisson_head,
     _log_poisson_head_rows,
     _log_sum_exp_rows,
+    _log_sum_within,
     log_comb,
     log_sum_exp,
     std_normal_quantile,
@@ -107,17 +108,26 @@ def _require_nonempty(ps: Sequence[ProbValue]) -> None:
         raise InputValidationError("cannot combine an empty p-value vector")
 
 
-_BAD_WEIGHTS = "weights must be finite and strictly positive"
+_BAD_WEIGHTS = "weights must be finite and strictly positive, with squares and sum in (0, inf)"
 
 
 def _check_weights(weights: Iterable[float]) -> tuple[float, ...]:
-    """The weights as floats; raise unless they are a non-empty run of
-    finite, positive numbers (a bool is not a number)."""
+    """The weights as floats; raise unless they are a non-empty run of numbers
+    (not bools), positive with squares, and a sum of squares, in (0, inf)."""
     weights = tuple(weights)
     _check_kind("weights", weights, Real, listed=True)
-    if not all(0.0 < w < math.inf for w in weights):
+    if not all(w > 0.0 and 0.0 < w * w < _INF for w in weights):
         raise InputValidationError(_BAD_WEIGHTS)
+    _sum_of_squares([w * w for w in weights])
     return tuple(map(float, weights))
+
+
+def _sum_of_squares(squares: list[float]) -> float:
+    """``math.fsum(squares)``, raising ``InputValidationError`` where it overflows."""
+    try:
+        return math.fsum(squares)
+    except OverflowError:
+        raise InputValidationError(_BAD_WEIGHTS) from None
 
 
 def _check_gamma(name: str, gamma: float) -> None:
@@ -272,9 +282,9 @@ def combine_stouffer_weighted(
     p, so inputs like 1e-200 keep their full weight.  One pass over the
     (w_i, p_i) pairs checks each weight, notes a p_i of exactly 0 or 1
     (where the quantile is undefined) and collects w_i z_i and w_i^2.  A
-    bad weight (a bool, not a number, or not finite and positive) raises
-    ``InputValidationError`` as soon as it is seen, so it takes precedence
-    over a p_i in {0, 1}, which raises ``NumericDomainError`` after the pass.
+    bad weight (``_check_weights``' rule) raises ``InputValidationError``
+    when seen, or for its sum of squares after the pass, before a p_i in
+    {0, 1} raises ``NumericDomainError``.
     """
     _require_nonempty(ps)
     if len(weights) != len(ps):
@@ -285,7 +295,7 @@ def combine_stouffer_weighted(
     for w, p in zip(weights, ps):
         if w.__class__ is not float:
             _check_kind("weights", w, Real)
-        if not 0.0 < w < _INF:
+        if not (w > 0.0 and 0.0 < w * w < _INF):  # _check_weights' rule
             raise InputValidationError(_BAD_WEIGHTS)
         log_p = p.log_value
         if log_p == _NEG_INF or log_p == 0.0:
@@ -293,9 +303,10 @@ def combine_stouffer_weighted(
         else:
             terms.append(w * -std_normal_quantile(p))
         squares.append(w * w)
+    total = _sum_of_squares(squares)
     if at_edge:
         raise NumericDomainError("stouffer combination undefined at p in {0, 1}")
-    return std_normal_sf(math.fsum(terms) / math.sqrt(math.fsum(squares)))
+    return std_normal_sf(math.fsum(terms) / math.sqrt(total))
 
 
 def combine_tpm(ps: Sequence[ProbValue], gamma: float) -> ProbValue:
@@ -402,9 +413,16 @@ def fisher_exact_2x2(
       floating-point ties);
     * ``"doubling"``: twice the smaller one-sided tail, capped at 1.
 
-    The hypergeometric log-PMF over the whole support comes from one
-    call to ``numerics._hypergeom_log_pmfs``, which checks the margins
-    once and equals ``hypergeom_log_pmf`` at each point bit for bit.
+    Each sum equals ``log_sum_exp`` over the whole support bit for bit but
+    runs over a window of it, first about 9.5 sd beyond the mode and k.
+    The PMF is log-concave (f(j+1)/f(j) = (K-j)(n-j)/((j+1)(N-K-n+j+1))
+    falls in j), so past an edge of log-PMF v and outward ratio q the terms
+    sum to at most exp(v + e - log f(k)) q/(1 - q) times the observed one,
+    e = 1e-10 (lgamma(N+1) + 1) bounding rounding.  An edge whose bound
+    exceeds exp(-gap) moves out as far as q says it must.  ``fsum`` rounds
+    correctly, so the window's sum S is the support's when its rounded
+    residual plus the bounds is under half an ulp of S; else gap doubles,
+    up to the whole support, where nothing is left out.
 
     The odds ratio is the sample OR; a zero denominator is reported as
     +inf (or nan for the degenerate 0/0 case) with the p-value still
@@ -412,21 +430,35 @@ def fisher_exact_2x2(
     """
     if convention not in ("min_likelihood", "doubling"):
         raise InputValidationError(f"unknown convention {convention!r}")
-    n_total = table.total_a + table.total_b
-    marked = table.events_a + table.events_b
-    draws = table.total_a
-    k_obs = table.events_a
-    lo, log_pmfs = _hypergeom_log_pmfs(marked, draws, n_total)
-    obs = k_obs - lo
-    log_obs = log_pmfs[obs]
-    if convention == "min_likelihood":
-        slack = math.log1p(1e-7)
-        included = [lp for lp in log_pmfs if lp <= log_obs + slack]
-        log_p = log_sum_exp(included)
-    else:
-        low = log_sum_exp(log_pmfs[: obs + 1])
-        high = log_sum_exp(log_pmfs[obs:])
-        log_p = math.log(2.0) + min(low, high)
+    N, K = table.total_a + table.total_b, table.events_a + table.events_b
+    n, k = table.total_a, table.events_a
+    lo, hi, mode = max(0, n + K - N), min(n, K), (n + 1) * (K + 1) // (N + 2)
+    half = math.ceil(9.5 * math.sqrt(n * K * (N - K) * (N - n) / (N * N * (N - 1)))) + 8
+    far = math.isqrt((k - mode) ** 2 + half * half) + 1  # past the mirror of k
+    a, b = max(lo, min(k - half, mode - far)), min(hi, max(k + half, mode + far))
+    slop, gap, log_p = 1e-10 * (math.lgamma(N + 1) + 1.0), 40.0, None
+    while log_p is None:
+        log_pmfs = _hypergeom_log_pmfs(K, n, N, a, b)[1]
+        log_obs, moves, tail = log_pmfs[k - a], [0, 0], 0.0
+        for side, (v, q) in enumerate((
+                (log_pmfs[0], a * (N - K - n + a) / ((K - a + 1) * (n - a + 1))),
+                (log_pmfs[-1], (K - b) * (n - b) / ((b + 1) * (N - K - n + b + 1))))):
+            q *= 1.0 + 1e-12  # under 1: the edges start 9.5 sd or more past the mode
+            if q:
+                x = v - log_obs + slop + math.log(q / (1.0 - q))
+                moves[side] = math.ceil((x + gap) / -math.log(q)) + 1 if x + gap > 0.0 else 0
+                tail += math.exp(min(x, 0.0)) + 1e-300
+        if any(moves):
+            a, b = max(lo, a - moves[0]), min(hi, b + moves[1])
+            continue
+        if convention == "min_likelihood":
+            slack = log_obs + math.log1p(1e-7)
+            log_p = _log_sum_within([lp for lp in log_pmfs if lp <= slack], tail)
+        else:
+            low, high = (_log_sum_within(part, tail)
+                         for part in (log_pmfs[: k - a + 1], log_pmfs[k - a:]))
+            log_p = None if low is None or high is None else math.log(2.0) + min(low, high)
+        gap *= 2.0
     p = ProbValue.from_log(min(0.0, log_p))
     ea, eb = table.events_a, table.events_b
     na, nb = table.total_a - ea, table.total_b - eb

@@ -194,10 +194,20 @@ def log_sum_exp(values: Iterable[float]) -> float:
     """log(sum(exp(v))), tolerating -inf entries.  Terms go to fsum largest-first:
     fsum is correctly rounded, so that keeps the bits, and is far faster on a wide span."""
     vals = [v for v in values if v != _NEG_INF]
-    if not vals:
-        return _NEG_INF
-    m = max(vals)
-    return m + math.log(math.fsum(sorted([math.exp(v - m) for v in vals], reverse=True)))
+    return _log_sum_within(vals, 0.0) if vals else _NEG_INF
+
+
+def _log_sum_within(values: list[float], tail: float) -> float | None:
+    """``log_sum_exp`` of finite ``values``, or None unless adding positive terms
+    of sum at most ``tail`` times the largest term provably keeps its bits."""
+    m = max(values)
+    terms = sorted([math.exp(v - m) for v in values], reverse=True)
+    s = math.fsum(terms)
+    if tail:
+        d = math.fsum([*terms, -s])
+        if not d + abs(d) * 2.0**-50 + tail < math.ulp(s) / 2.0:
+            return None
+    return m + math.log(s)
 
 
 def std_normal_sf(x: float) -> ProbValue:
@@ -256,10 +266,11 @@ def _log_poisson_head(x: float, k: int) -> float:
     table = _LOG_FACTORIALS if len(_LOG_FACTORIALS) >= k else _log_factorials(k)
     log_x = math.log(x)
     # log_sum_exp inline: every term is finite for finite x > 0, so its
-    # -inf filter would never fire.
+    # -inf filter would never fire.  The terms peak at j0 = floor(x); fed to
+    # fsum outward from there they fall, far faster than rising, same bits.
     terms = [j * log_x - table[j] for j in range(k)]
-    top = max(terms)
-    return top + math.log(math.fsum([math.exp(t - top) for t in terms]))
+    top, j0 = max(terms), int(x)
+    return top + math.log(math.fsum([math.exp(t - top) for t in terms[j0::-1] + terms[j0 + 1:]]))
 
 
 def _log_factorials(k: int) -> list[float]:
@@ -335,20 +346,19 @@ def hypergeom_log_pmf(k: int, K: int, n: int, N: int) -> float:
     support ``max(0, n+K-N) <= k <= min(n, K)``; the one-point case of
     ``_hypergeom_log_pmfs``.
     """
-    return _hypergeom_log_pmfs(K, n, N, k)[1][0]
+    return _hypergeom_log_pmfs(K, n, N, k, k)[1][0]
 
 
 def _hypergeom_log_pmfs(
-    K: int, n: int, N: int, k: int | None = None
+    K: int, n: int, N: int, k: int | None = None, last: int | None = None
 ) -> tuple[int, list[float]]:
     """The first k and the log PMF of ``hypergeom_log_pmf`` at each k of
-    the support in turn, or at ``k`` alone when it is given.
+    the support in turn, or at ``k``..``last`` when they are given.
 
     The arguments are checked once (integers by ``_check_kind``, then
-    ``NumericDomainError`` outside the domain).  lgamma(K+1),
-    lgamma(N-K+1) and log C(N, n) are computed once; every other term,
-    and the order of the operations, is ``log_comb``'s, so each value
-    equals the per-point formula bit for bit.
+    ``NumericDomainError`` outside the domain).  Each distinct lgamma
+    argument is computed once (``_lgamma_runs``), in ``log_comb``'s order
+    of operations, so each value equals the per-point formula bit for bit.
     """
     named = (("K", K), ("n", n), ("N", N))
     for name, v in named if k is None else (("k", k), *named):
@@ -360,14 +370,21 @@ def _hypergeom_log_pmfs(
         raise NumericDomainError(f"need K <= N and n <= N, got K={K}, n={n}, N={N}")
     lo, hi = max(0, n + K - N), min(n, K)
     if k is not None:
-        if k < lo or k > hi:
+        if not lo <= k <= last <= hi:
             raise NumericDomainError(f"k={k} outside support for K={K}, n={n}, N={N}")
-        lo = hi = int(k)
-    lgamma = math.lgamma
-    marked, unmarked, whole = lgamma(K + 1), lgamma(N - K + 1), log_comb(N, n)
-    return lo, [
-        ((marked - lgamma(j + 1) - lgamma(K - j + 1))
-         + (unmarked - lgamma(n - j + 1) - lgamma(N - K - (n - j) + 1)))
-        - whole
-        for j in range(lo, hi + 1)
-    ]
+        lo, hi = int(k), int(last)
+    marked, unmarked, whole = math.lgamma(K + 1), math.lgamma(N - K + 1), log_comb(N, n)
+    up_k, down_k = _lgamma_runs(lo + 1, K - hi + 1, hi - lo + 1)
+    up_u, down_u = _lgamma_runs(N - K - n + lo + 1, n - hi + 1, hi - lo + 1)
+    return lo, [((marked - a - b) + (unmarked - c - d)) - whole
+                for a, b, d, c in zip(up_k, down_k, up_u, down_u)]
+
+
+def _lgamma_runs(up: int, low: int, width: int) -> tuple[list[float], list[float]]:
+    """lgamma(up + i) and lgamma(low + width - 1 - i) for i < width: one run
+    over both ranges where they overlap (a 2x2 table's balanced arms)."""
+    start, gap = min(up, low), abs(up - low)
+    if gap >= width:  # disjoint: one run each
+        return _lgamma_runs(up, up, width)[0], _lgamma_runs(low, low, width)[1]
+    run = list(map(math.lgamma, range(start, start + gap + width)))
+    return run[up - start:][:width], run[low - start:][:width][::-1]

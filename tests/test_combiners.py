@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from dataclasses import astuple
 
 import numpy as np
@@ -677,3 +678,75 @@ class TestFisherExact:
     def test_non_count_raises(self, bad):
         with pytest.raises(InputValidationError, match="events_a"):
             CountTable2x2(bad, 20, 2, 20)
+
+
+@st.composite
+def wide_count_tables(draw):
+    """Tables with totals log-uniform from 20 to 50,000 per arm, an event
+    share log-uniform from 1e-4 to 1, and k at a support end, at the mode,
+    or up to 60 sd from it; a drawn seed drives the choices."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ta, tb = (round(math.exp(rng.uniform(math.log(20), math.log(50_000)))) for _ in "ab")
+    N = ta + tb
+    K = round(N * math.exp(rng.uniform(math.log(1e-4), 0.0)))
+    lo, hi = max(0, ta + K - N), min(ta, K)
+    mode = (ta + 1) * (K + 1) // (N + 2)
+    sd = math.sqrt(ta * K * (N - K) * tb / (N * N * (N - 1)))
+    far = min(hi, max(lo, mode + round(rng.uniform(-60.0, 60.0) * sd)))
+    k = rng.choice([lo, hi, mode, far, far])
+    return CountTable2x2(k, ta, K - k, tb)
+
+
+def evaluated_points(monkeypatch, tables, convention="min_likelihood"):
+    """How many support points ``fisher_exact_2x2`` evaluates over ``tables``."""
+    from pcmeta import combiners
+
+    counted = [0]
+    real = combiners._hypergeom_log_pmfs
+
+    def counting(*args):
+        first, values = real(*args)
+        counted[0] += len(values)
+        return first, values
+
+    monkeypatch.setattr(combiners, "_hypergeom_log_pmfs", counting)
+    for table in tables:
+        fisher_exact_2x2(table, convention)
+    monkeypatch.undo()
+    return counted[0]
+
+
+def support_size(table):
+    N, K, n = table.total_a + table.total_b, table.events_a + table.events_b, table.total_a
+    return min(n, K) - max(0, n + K - N) + 1
+
+
+class TestFisherExactWindow:
+    """The sums run over a window of the support; none of these may see it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_count_tables(), st.sampled_from(["min_likelihood", "doubling"]))
+    def test_equals_per_point_reference_on_wide_tables(self, table, convention):
+        got = fisher_exact_2x2(table, convention)
+        assert got.p_value.log_value == per_point_exact_log_p(table, convention)
+
+    @pytest.mark.parametrize("convention", ["min_likelihood", "doubling"])
+    def test_bundled_tables_evaluate_under_two_fifths(
+            self, monkeypatch, bundled_count_records, convention):
+        tables = [r.count_table() for r in bundled_count_records]
+        assert sum(map(support_size, tables)) == 16_037
+        assert evaluated_points(monkeypatch, tables, convention) <= 0.4 * 16_037
+
+    @pytest.mark.parametrize("convention", ["min_likelihood", "doubling"])
+    def test_hundred_thousand_per_arm_bit_exact(self, convention):
+        table = CountTable2x2(30_410, 100_000, 29_950, 100_000)
+        got = fisher_exact_2x2(table, convention)
+        assert got.p_value.log_value == per_point_exact_log_p(table, convention)
+
+    def test_million_per_arm_evaluates_a_window(self, monkeypatch):
+        table = CountTable2x2(300_400, 1_000_000, 301_500, 1_000_000)
+        assert support_size(table) == 601_901
+        assert evaluated_points(monkeypatch, [table]) <= 20_000
+        p = fisher_exact_2x2(table).p_value.linear
+        ref = stats.fisher_exact([[300_400, 699_600], [301_500, 698_500]])[1]
+        assert math.isclose(p, ref, rel_tol=1e-8)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted, combine_tpm
 from pcmeta.counterexample import region_phi, region_phi_prime, region_phi_tilde
@@ -20,6 +21,7 @@ from pcmeta.partial_conjunction import (
     gbhpc_enumerate,
     pc_curve,
     select_construction,
+    weighted_gbhpc_rows,
     weighted_subset_combiner,
 )
 
@@ -74,6 +76,32 @@ def test_weights_are_numbers(taker, weights):
 def test_combine_stouffer_weighted_weights_are_numbers(weights):
     with pytest.raises(InputValidationError, match="is not a number"):
         combine_stouffer_weighted(PS[:2], weights)
+
+
+@pytest.mark.parametrize("weights", [
+    [1e-200, 1e-200],  # squares 0: the rule divided by sqrt(0)
+    [1e200, 1e200],  # squares inf: the rule returned 0.5
+    [1e-200, 1.0],
+    [1e154, 1e154],  # squares finite, their sum overflows
+])
+@pytest.mark.parametrize("taker", [
+    lambda w: combine_stouffer_weighted([PS[2]] * len(w), w),
+    lambda w: CombinerSpec("stouffer_weighted", weights=w),
+    lambda w: gbhpc_enumerate([PS[2]] * 3, 2, weighted_subset_combiner(w[:1] * 3)),
+    lambda w: weighted_gbhpc_rows(np.log(np.full((4, 2), 0.3)), 1, w),
+])
+def test_weights_squares_stay_in_the_double_range(taker, weights):
+    with pytest.raises(InputValidationError, match=r"squares and sum in \(0, inf\)"):
+        taker(weights)
+
+
+def test_weights_near_the_square_limits_keep_the_scale_free_value():
+    p = PS[2]
+    want = combine_stouffer_weighted([p, p], [1.0, 1.0])
+    assert math.isclose(want.linear, float(special.ndtr(math.sqrt(2.0) * special.ndtri(0.3))))
+    for w in (1e-150, 1e150, 1e153):
+        got = combine_stouffer_weighted([p, p], [w, w])
+        assert math.isclose(got.log_value, want.log_value, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("make", [tuple, list, np.array, iter])
