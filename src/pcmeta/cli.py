@@ -12,6 +12,12 @@ which saves time only where one process calls ``main`` more than once;
 a ``pcmeta`` launch builds one parser either way.  The parser holds each
 handler's name, and ``main`` looks the handler up in this module when it
 dispatches.
+
+Importing this module loads only ``pcmeta.errors`` of the package.  Each
+``cmd_*`` imports the library names it runs when it runs: ``pc``,
+``combine``, ``exact2x2`` and ``dataset`` load ``io``, ``combiners``,
+``numerics`` and ``partial_conjunction``; ``simulate``,
+``counterexample`` and ``oracle`` add the module they are named for.
 """
 
 from __future__ import annotations
@@ -21,23 +27,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import cache
 
-from . import io as pio
-from .combiners import CombinerSpec, combine, fisher_exact_2x2, rows_for
-from .counterexample import TEST_NAMES, power_grids_2d
 from .errors import InputValidationError, NonConvergenceError, PcmetaError, _LazyNumpy
-from .oracle import BatchedRule, NullConfig, mc_validity, tpm_mc_cdf
-from .partial_conjunction import (
-    bhpc,
-    bhpc_rows,
-    fixed_subset_combiner,
-    pc_curve,
-    select_construction,
-    weighted_subset_combiner,
-)
-from .simulation import SimConfig, run_power_map
 
 np = _LazyNumpy(globals())
 
@@ -56,6 +48,8 @@ def _build_spec(args, studies) -> CombinerSpec:
     """The rule that --method names.  Refuses an option that the method
     would silently ignore.  Stouffer weighs ``studies`` (one item per
     study) equally, or by the records' n_sample with --weights-from."""
+    from . import io as pio
+    from .combiners import CombinerSpec
     if args.gamma is not None and args.method != "tpm":
         raise InputValidationError("--gamma applies only to --method tpm")
     weights_from = getattr(args, "weights_from", None)
@@ -93,11 +87,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_input(path: str):
+    from . import io as pio
     records = pio.read_study_csv(path)
     return records, pio.records_to_pvalues(records)
 
 
 def cmd_combine(args) -> int:
+    from . import io as pio
+    from .combiners import combine
     records, ps = _load_input(args.input)
     spec = _build_spec(args, records)
     result = combine(spec, ps)
@@ -114,6 +111,9 @@ def cmd_combine(args) -> int:
 
 
 def cmd_pc(args) -> int:
+    from . import io as pio
+    from .partial_conjunction import (fixed_subset_combiner, pc_curve, select_construction,
+                                      weighted_subset_combiner)
     if args.csv is not None:
         if args.json or args.r is not None:
             raise InputValidationError("--csv writes the whole curve; it takes no --json or --r")
@@ -172,6 +172,8 @@ def cmd_pc(args) -> int:
 
 
 def cmd_exact2x2(args) -> int:
+    from . import io as pio
+    from .combiners import fisher_exact_2x2
     records = pio.read_study_csv(args.input)
     rows = []
     for rec in records:
@@ -198,9 +200,12 @@ _SIM_KEYS = ("mu0_values", "sigma0_values", "r0", "reps", "seed") + _SIM_FIELDS
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+    from . import io as pio
+    from .simulation import SimConfig, run_power_map
     _check_out_path(args.out)
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise InputValidationError(f"cannot read {args.config}: {exc}")
@@ -240,6 +245,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import io as pio
+    from .counterexample import TEST_NAMES, power_grids_2d
     _check_out_path(args.out)
     if args.grid < 1 or not math.isfinite(args.mu_max):
         raise InputValidationError("--grid must be at least 1 and --mu-max finite")
@@ -251,6 +258,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    from . import io as pio
     if args.out is not None:
         _check_out_path(args.out)
         _write_text(args.out, pio.export_bundled_csv(args.view))
@@ -268,6 +276,10 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 
 def cmd_oracle_validity(args) -> int:
+    from . import io as pio
+    from .combiners import combine, rows_for
+    from .oracle import BatchedRule, NullConfig, mc_validity
+    from .partial_conjunction import bhpc, bhpc_rows
     z_means = None if args.z_means is None else _parse_float_list(args.z_means, "--z-means")
     k = len(z_means) if args.k is None and z_means is not None else args.k
     if k is None:
@@ -309,6 +321,8 @@ def cmd_oracle_validity(args) -> int:
 
 
 def cmd_oracle_tpm(args) -> int:
+    from . import io as pio
+    from .oracle import tpm_mc_cdf
     rate, se = tpm_mc_cdf(args.l, args.gamma, args.w, args.reps, args.seed)
     if args.json:
         print(pio.json_dumps({

@@ -25,15 +25,16 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .combiners import CountTable2x2, fisher_exact_2x2
-from .counterexample import CounterexamplePowerGrid
 from .errors import InputValidationError
 from .numerics import ProbValue
 from .partial_conjunction import GroupPartition, PcCurve
-from .simulation import PowerGrid
+
+if TYPE_CHECKING:
+    from .counterexample import CounterexamplePowerGrid
+    from .simulation import PowerGrid
 
 __all__ = [
     "StudyRecord",
@@ -147,7 +148,7 @@ def parse_study_rows(rows: Iterable[dict[str, str]]) -> list[StudyRecord]:
 
 def read_study_csv(path: str) -> list[StudyRecord]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "study_id" not in reader.fieldnames:
                 raise InputValidationError(f"{path}: missing study_id column")
@@ -184,6 +185,7 @@ def stouffer_weights_from_records(records: Sequence[StudyRecord]) -> tuple[float
 
 
 def bundled_dataset_text() -> str:
+    from importlib import resources
     return (
         resources.files("pcmeta.data").joinpath(f"{BUNDLED_DATASET}.csv").read_text()
     )

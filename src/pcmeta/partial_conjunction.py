@@ -551,8 +551,9 @@ def select_construction(
     selected = [x is not None for x in (spec, groups, g)]
     if sum(selected) != 1:
         raise InputValidationError("pass exactly one of spec=, groups=, g=")
-    if spec is not None:
-        return f"bhpc:{spec.method}", lambda r: bhpc(ps, r, spec)
+    if spec is not None:  # sorted once: bhpc's sort of sorted input is one linear pass
+        ranked = lru_cache(None)(lambda: sorted(ps, key=attrgetter("log_value")))
+        return f"bhpc:{spec.method}", lambda r: bhpc(ranked(), r, spec)
     if groups is not None:
         return "gbhpc:structured", lambda r: structured_gbhpc(ps, r, groups)
     return "gbhpc:enumerate", lambda r: gbhpc_enumerate(ps, r, g, DEFAULT_ENUMERATION_BUDGET)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcmeta import cli
+from pcmeta import cli, combiners, partial_conjunction, simulation
 from pcmeta import io as pio
 from pcmeta.counterexample import power_grid_2d
 from pcmeta.errors import InputValidationError, NonConvergenceError
@@ -490,6 +490,26 @@ class TestInputContract:
         doc = json.loads(err)
         assert doc["error"] == "InputValidationError" and "a" in doc["message"]
 
+    def test_byte_order_mark_accepted(self, pvalue_csv, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark.
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(pvalue_csv).read_bytes())
+        plain = run_cli(capsys, "pc", pvalue_csv, "--json")
+        assert plain[0] == 0 and run_cli(capsys, "pc", str(marked), "--json") == plain
+
+    def test_byte_order_mark_accepted_in_simulate_config(self, tmp_path, capsys):
+        text = json.dumps({"mu0_values": [0.1], "sigma0_values": [0.1], "r0": [1],
+                           "reps": 1000, "seed": 3})
+        outputs = []
+        for name, mark in [("plain", b""), ("marked", b"\xef\xbb\xbf")]:
+            (tmp_path / f"{name}.json").write_bytes(mark + text.encode())
+            out = tmp_path / f"{name}.csv"
+            code, _, err = run_cli(capsys, "simulate", str(tmp_path / f"{name}.json"),
+                                   "--out", str(out))
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -502,7 +522,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise NonConvergenceError("did not stabilize")
 
-        monkeypatch.setattr(cli, "pc_curve", boom)
+        monkeypatch.setattr(partial_conjunction, "pc_curve", boom)
         code = cli.main(["pc", pvalue_csv, "--all-r"])
         captured = capsys.readouterr()
         assert code == 3
@@ -532,7 +552,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise AssertionError("run_power_map called with an unwritable --out")
 
-        monkeypatch.setattr(cli, "run_power_map", boom)
+        monkeypatch.setattr(simulation, "run_power_map", boom)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"mu0_values": [0.1], "sigma0_values": [0.1],
                                       "r0": [1], "reps": 1000}))
@@ -617,7 +637,7 @@ class TestParserReuse:
         code, out, err = run_cli(capsys, "pc", pvalue_csv, "--json")
         assert code == 0 and err == "" and not target.exists()
         ps = pio.records_to_pvalues(pio.read_study_csv(pvalue_csv))
-        curve = cli.pc_curve(ps, 0.05, spec=cli.CombinerSpec("fisher"))
+        curve = partial_conjunction.pc_curve(ps, 0.05, spec=combiners.CombinerSpec("fisher"))
         assert out == pio.json_dumps(pio.curve_to_json_dict(curve)) + "\n"
 
     def test_patched_handler_runs_after_parser_is_built(self, pvalue_csv, capsys,

@@ -319,3 +319,89 @@ def test_module_all_names_only_its_own_definitions():
                 assert not missing, (path.name, missing)
                 checked.add(path.stem)
     assert checked >= set(PACKAGE_MODULES) | {"io"}
+
+
+# What the lazy package namespace loads.  Each probe runs in a fresh
+# interpreter, because this process imported the whole library at collection.
+# ``pcmeta.data`` holds the bundled CSV and no code.
+SCALAR_PACKAGE_MODULES = {"pcmeta", "pcmeta.cli", "pcmeta.errors", "pcmeta.io", "pcmeta.data",
+                          "pcmeta.combiners", "pcmeta.numerics", "pcmeta.partial_conjunction"}
+
+
+def loaded_package_modules(code: str, directory: Path) -> list[str]:
+    """The pcmeta modules loaded once ``code`` ran in a fresh process."""
+    code += ("\nimport sys\nprint()\n"
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pcmeta'))")
+    return fresh_python(code, cwd=directory).stdout.decode().splitlines()[-1].split()
+
+
+def test_import_package_loads_no_submodule(tmp_path):
+    assert loaded_package_modules("import pcmeta", tmp_path) == ["pcmeta"]
+
+
+def test_import_cli_loads_only_errors(tmp_path):
+    assert loaded_package_modules("import pcmeta.cli", tmp_path) == [
+        "pcmeta", "pcmeta.cli", "pcmeta.errors"]
+
+
+def test_submodule_read_loads_only_that_submodule(tmp_path):
+    code = "import pcmeta\npcmeta.numerics\nfrom pcmeta import errors"
+    loaded = loaded_package_modules(code, tmp_path)
+    assert loaded == ["pcmeta", "pcmeta.errors", "pcmeta.numerics"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pc", "noac.csv", "--json"],
+    ["pc", "noac.csv", "--groups"],
+    ["exact2x2", "counts.csv"],
+    ["dataset"],
+    ["--help"],
+], ids=" ".join)
+def test_scalar_commands_load_no_oracle_simulation_or_counterexample(argv, tmp_path):
+    write_inputs(tmp_path)
+    loaded = set(loaded_package_modules(
+        f"from pcmeta import cli\nassert cli.main({argv!r}) == 0", tmp_path))
+    assert "pcmeta.cli" in loaded and loaded <= SCALAR_PACKAGE_MODULES, loaded
+    if argv == ["--help"]:
+        assert loaded == {"pcmeta", "pcmeta.cli", "pcmeta.errors"}
+
+
+def test_star_import_binds_every_exported_name(tmp_path):
+    fresh_python("""
+import pcmeta
+namespace = {}
+exec("from pcmeta import *", namespace)
+names = set(namespace) - {"__builtins__"}
+assert len(pcmeta.__all__) == 70 and names == set(pcmeta.__all__), names
+assert all(namespace[name] is getattr(pcmeta, name) for name in names)
+""", cwd=tmp_path)
+
+
+def test_dir_lists_every_exported_name(tmp_path):
+    fresh_python("import pcmeta\nnames = dir(pcmeta)\n"
+                 "assert set(pcmeta.__all__) <= set(names) and '__version__' in names",
+                 cwd=tmp_path)
+
+
+def test_dunder_and_unknown_names_load_nothing(tmp_path):
+    fresh_python("""
+import sys, pcmeta
+before = set(sys.modules)
+for name in ("__wrapped__", "no_such_name", "_private"):
+    assert not hasattr(pcmeta, name), name
+    try:
+        getattr(pcmeta, name)
+    except AttributeError as exc:
+        assert repr(name) in str(exc)
+assert set(sys.modules) == before and "__all__" not in vars(pcmeta)
+pcmeta.bhpc
+assert not hasattr(pcmeta, "no_such_name")
+""", cwd=tmp_path)
+
+
+def test_listed_names_are_the_module_lists():
+    # The package reads each module's list from its source to refuse an
+    # unknown name without importing the library.
+    assert pcmeta._MODULES == PACKAGE_MODULES
+    for name in PACKAGE_MODULES:
+        assert pcmeta._listed(name) == importlib.import_module(f"pcmeta.{name}").__all__

@@ -987,6 +987,16 @@ class TestPcCurve:
             pc_curve(pv(*np.linspace(0.01, 0.99, 24)), 0.05, g=recording)
         assert calls == []
 
+    @pytest.mark.parametrize("spec", [FISHER, SIMES, BONF, TPM], ids=lambda s: s.method)
+    def test_bhpc_curve_equals_bhpc_on_the_original_order(self, spec):
+        # The curve sorts the p-values once; ties, p = 1, p = 0 and 1e-300
+        # must keep every bit of bhpc on the unsorted input.
+        ps = pv(0.3, 1.0, 1e-300, 0.02, 0.3, 0.0, 0.7, 0.02, 1.0, 0.5, 1e-300)
+        curve = pc_curve(ps, 0.05, spec=spec)
+        for e in curve.entries:
+            want = bhpc(ps, e.r, spec)
+            assert (e.p.log_value, e.p.linear) == (want.log_value, want.linear), e.r
+
     def test_structured_curve_matches_pointwise(self, bundled_pvalues, bundled_groups):
         curve = pc_curve(bundled_pvalues, 0.05, groups=bundled_groups)
         for e in curve.entries:
