@@ -230,10 +230,15 @@ class CounterexamplePowerGrid:
 
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
-    """Linear, not ``exp(two_sided_log_p(z))``: the last bit decides region edges."""
+    """Linear, not ``exp(two_sided_log_p(z))``: the last bit decides region
+    edges.  One new array, worked in place: the bits of ``2 * ndtr(-abs(z))``."""
     from scipy import special
 
-    return 2.0 * special.ndtr(-np.abs(z))
+    out = np.abs(z)
+    np.negative(out, out=out)
+    special.ndtr(out, out=out)
+    out *= 2.0
+    return out
 
 
 def power_grids_2d(

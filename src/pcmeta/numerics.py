@@ -326,10 +326,21 @@ def _log_poisson_head_rows(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def two_sided_log_p(z):
-    """log of the two-sided normal p-value 2 * Phi(-|z|), elementwise."""
+    """log of the two-sided normal p-value 2 * Phi(-|z|), elementwise.
+
+    A float array gets one new array, worked in place: the bits of
+    ``_LOG2 + log_ndtr(-abs(z))`` without its three temporaries.  ``z``
+    is never written; a scalar gives a scalar.
+    """
     from scipy import special
 
-    return _LOG2 + special.log_ndtr(-np.abs(z))
+    out = np.abs(z)
+    if not isinstance(out, np.ndarray) or out.dtype.kind != "f":
+        return _LOG2 + special.log_ndtr(-out)
+    np.negative(out, out=out)
+    special.log_ndtr(out, out=out)
+    out += _LOG2
+    return out
 
 
 def log_comb(n: int, k: int) -> float:

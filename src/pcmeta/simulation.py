@@ -14,12 +14,17 @@ before any draw, as ``gbhpc_enumerate`` does.
 This module holds the study design; ``partial_conjunction.bhpc_rows``
 and ``weighted_gbhpc_rows`` score each cell's (reps, n) log p-values.
 The per-cell RNG stream is keyed by (seed, r0, cell index), so results
-are bit-identical across runs regardless of evaluation order.
+are bit-identical across runs regardless of evaluation order.  Cells run
+on up to one thread per usable CPU (numpy's generators and ufuncs
+release the GIL); the bits are the same for any thread count, and memory
+grows by about one cell's arrays per thread (about 4 MB at reps = 20,000
+and n = 8).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from typing import Sequence
@@ -119,15 +124,23 @@ class PowerGrid:
 
 
 def _draw_log_pvalues(cfg: SimConfig, rng: np.random.Generator, reps: int) -> np.ndarray:
-    """(reps, n) matrix of log two-sided p-values under cfg."""
+    """(reps, n) matrix of log two-sided p-values under cfg.
+
+    Each step works in place and frees what it no longer needs, so at
+    most two (reps, n) float arrays are alive at once.
+    """
     # The r0 studies with the smallest uniform keys are non-null, drawn
     # afresh each replicate so power marginalizes over the assignment.
     mask = np.zeros((reps, cfg.n), dtype=bool)
     order = rng.random((reps, cfg.n)).argsort(axis=1)
     np.put_along_axis(mask, order[:, : cfg.r0], True, axis=1)
-    effects = rng.gamma(cfg.gamma_shape, cfg.gamma_scale, size=(reps, cfg.n))
-    mu = np.where(mask, effects, 0.0)
-    z = rng.standard_normal((reps, cfg.n)) + np.sqrt(np.array(cfg.sample_sizes)) * mu
+    del order
+    mu = rng.gamma(cfg.gamma_shape, cfg.gamma_scale, size=(reps, cfg.n))
+    mu[~mask] = 0.0
+    mu *= np.sqrt(np.array(cfg.sample_sizes))
+    z = rng.standard_normal((reps, cfg.n))
+    z += mu
+    del mu
     return two_sided_log_p(z)
 
 
@@ -135,6 +148,33 @@ def draw_study_pvalues(cfg: SimConfig, rng: np.random.Generator) -> list[ProbVal
     """One replicate of per-study p-values (log-domain)."""
     row = _draw_log_pvalues(cfg, rng, 1)[0]
     return [ProbValue.from_log(min(0.0, v)) for v in row]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _score_cell(cell_index: int, cfg: SimConfig) -> list[PowerCell]:
+    """One row per method for the grid point of cfg, from its own stream."""
+    rng = np.random.default_rng([cfg.seed, cfg.r0, cell_index])
+    log_p = _draw_log_pvalues(cfg, rng, cfg.reps)
+    rows = []
+    for method in cfg.methods:
+        p = float(np.mean(_RULES[method](log_p, cfg) <= math.log(cfg.alpha)))
+        rows.append(
+            PowerCell(
+                mu0=cfg.mu0,
+                sigma0=cfg.sigma0,
+                method=method,
+                r0=cfg.r0,
+                power=p,
+                se=math.sqrt(p * (1.0 - p) / cfg.reps),
+            )
+        )
+    return rows
 
 
 def run_power_map(
@@ -147,7 +187,17 @@ def run_power_map(
     cfg.mu0/cfg.sigma0 are overridden cell by cell; everything else is
     taken from cfg.  Every cell is validated before the first draw.
     Deterministic given (cfg.seed, grid).
+
+    The cells are scored on a pool of up to one thread per usable CPU,
+    and the rows come back in grid order.  Each cell draws from its own
+    stream, so the bits are the same for any thread count.  Each thread
+    holds one cell's arrays, about 4 MB at reps = 20,000 and n = 8.  When
+    a cell raises, or on KeyboardInterrupt, no queued cell starts and the
+    error propagates once the cells in flight end.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Event
+
     _check_kind("mu0_values", mu0_values, Real, listed=True)
     _check_kind("sigma0_values", sigma0_values, Real, listed=True)
     cell_cfgs = [
@@ -155,25 +205,25 @@ def run_power_map(
         for mu0 in mu0_values
         for sigma0 in sigma0_values
     ]
-    cells: list[PowerCell] = []
-    for cell_index, cell_cfg in enumerate(cell_cfgs):
-        rng = np.random.default_rng([cfg.seed, cfg.r0, cell_index])
-        log_p = _draw_log_pvalues(cell_cfg, rng, cfg.reps)
-        for method in cfg.methods:
-            p = float(np.mean(_RULES[method](log_p, cell_cfg) <= math.log(cfg.alpha)))
-            cells.append(
-                PowerCell(
-                    mu0=cell_cfg.mu0,
-                    sigma0=cell_cfg.sigma0,
-                    method=method,
-                    r0=cfg.r0,
-                    power=p,
-                    se=math.sqrt(p * (1.0 - p) / cfg.reps),
-                )
-            )
-        del log_p  # so that the next cell's draw does not overlap this one
+    failed = Event()
+
+    def score(indexed: tuple[int, SimConfig]) -> list[PowerCell]:
+        if failed.is_set():  # another cell raised, so pool.map will too
+            return []
+        try:
+            return _score_cell(*indexed)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(min(len(cell_cfgs), _usable_cpus())) as pool:
+        try:
+            scored = list(pool.map(score, enumerate(cell_cfgs)))
+        except BaseException:  # a cell's error or KeyboardInterrupt
+            pool.shutdown(cancel_futures=True)
+            raise
     return PowerGrid(
         mu0_values=tuple(float(v) for v in mu0_values),
         sigma0_values=tuple(float(v) for v in sigma0_values),
-        cells=tuple(cells),
+        cells=tuple(cell for rows in scored for cell in rows),
     )

@@ -179,6 +179,17 @@ class TestPowerGrid:
                 power_grid_2d("phi", [0.0], 0.1, reps, seed)
 
 
+class TestTwoSidedP:
+    def test_bits_of_the_three_temporary_form_and_argument_unchanged(self):
+        from scipy import special
+
+        z = np.array([0.0, -0.0, 1e-300, -1.5, 1.5, -38.0, 40.0, -1e3, np.inf, -np.inf, np.nan])
+        before = z.tobytes()
+        got = counterexample._two_sided_p(z)
+        assert got.tobytes() == (2.0 * special.ndtr(-np.abs(z))).tobytes()
+        assert z.tobytes() == before and not np.shares_memory(got, z)
+
+
 class TestPowerGrids:
     MU = [0.0, 1.5, 3.0]
 

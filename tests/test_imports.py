@@ -115,6 +115,18 @@ def test_import_cli_loads_no_numpy(tmp_path):
     fresh_python("import sys, pcmeta.cli\nassert 'numpy' not in sys.modules", cwd=tmp_path)
 
 
+def test_import_cli_loads_no_thread_pool(tmp_path):
+    # run_power_map imports concurrent.futures when it runs (numpy and
+    # scipy load it too); the import of the CLI must not.
+    fresh_python("import sys, pcmeta.cli\nassert 'concurrent.futures' not in sys.modules",
+                 cwd=tmp_path)
+
+
+def test_scalar_commands_load_no_thread_pool(tmp_path):
+    _, report = probe_commands(NO_NUMPY_COMMANDS, tmp_path, "concurrent.futures")
+    assert report == [[0, False]] * len(NO_NUMPY_COMMANDS)
+
+
 def test_import_cli_builds_no_parser(tmp_path):
     # Parsers are counted by their construction; the first main() call
     # builds the process's one parser and the second reuses it.

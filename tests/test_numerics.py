@@ -21,6 +21,7 @@ from pcmeta.numerics import (
     log_sum_exp,
     std_normal_quantile,
     std_normal_sf,
+    two_sided_log_p,
 )
 
 mpmath.mp.dps = 60
@@ -236,6 +237,42 @@ class TestStdNormalSf:
             std_normal_sf(math.inf)
         with pytest.raises(NumericDomainError):
             std_normal_sf(math.nan)
+
+
+# Zeros of both signs, the tiniest normals, the log_ndtr tail switch
+# near 38-40, far tails, infinities and NaN.
+TWO_SIDED_ZS = [0.0, -0.0, 1e-300, -1e-300, 1.5, -1.5, 38.0, -38.0, 40.0, -40.0,
+                1e3, -1e3, math.inf, -math.inf, math.nan]
+
+
+def old_two_sided_log_p(z):
+    return numerics._LOG2 + sps.log_ndtr(-np.abs(z))
+
+
+class TestTwoSidedLogP:
+    def test_array_bits_equal_the_three_temporary_form(self):
+        z = np.array(TWO_SIDED_ZS)
+        got = two_sided_log_p(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert got.tobytes() == old_two_sided_log_p(z).tobytes()
+
+    @pytest.mark.parametrize("z", TWO_SIDED_ZS)
+    def test_scalar_gives_a_scalar_with_the_same_bits(self, z):
+        for arg in (z, np.float64(z), np.array(z)):
+            got = two_sided_log_p(arg)
+            assert not isinstance(got, np.ndarray)
+            assert np.float64(got).tobytes() == np.float64(old_two_sided_log_p(arg)).tobytes()
+
+    def test_argument_is_left_unchanged(self):
+        z = np.array(TWO_SIDED_ZS).reshape(3, 5)
+        before = z.tobytes()
+        got = two_sided_log_p(z)
+        assert z.tobytes() == before and not np.shares_memory(got, z)
+
+    def test_int_and_float32_arrays_keep_their_dtype_and_bits(self):
+        for z in ([-3, 0, 2], np.array([1, -2], np.int32), np.array([0.5, -4.0], np.float32)):
+            got, want = two_sided_log_p(z), old_two_sided_log_p(z)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def bisect_quantile(p_log: float, lo: float = -60.0, hi: float = 60.0) -> float:

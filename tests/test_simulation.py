@@ -1,12 +1,19 @@
 """Power-study draws, vector/scalar agreement, and reproducibility."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from pcmeta import simulation
 from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted
 from pcmeta.errors import EnumerationBudgetError, InputValidationError
 from pcmeta.numerics import ProbValue, two_sided_log_p
@@ -193,3 +200,71 @@ class TestRunPowerMap:
             for lo, hi in zip(series, series[1:]):
                 slack = 3 * math.sqrt(lo.se**2 + hi.se**2)
                 assert hi.power >= lo.power - slack
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_same_grid_in_cell_order_for_any_cpu_count(self, cpus, monkeypatch):
+        cfg = make_cfg(reps=1000, seed=41)
+        mu0s, sigma0s = [0.1, 0.2, 0.3], [0.05, 0.1]
+        expected = run_power_map(cfg, mu0s, sigma0s)
+        threads = set()
+        draw = simulation._draw_log_pvalues
+        monkeypatch.setattr(simulation, "_draw_log_pvalues",
+                            lambda *a: threads.add(threading.get_ident()) or draw(*a))
+        monkeypatch.setattr(simulation.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert simulation._usable_cpus() == cpus
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            got = run_power_map(cfg, mu0s, sigma0s)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert [(c.mu0, c.sigma0, c.method) for c in got.cells] == [
+            (m, s, method) for m in mu0s for s in sigma0s for method in METHOD_NAMES]
+        assert 1 <= len(threads) <= cpus and threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("kind", [RuntimeError, KeyboardInterrupt])
+    def test_failing_cell_raises_and_no_queued_cell_draws(self, cpus, kind, monkeypatch):
+        # Cell 2 of a 3x3 grid raises.  Cells 0 and 1 come before it, and
+        # only cells already in flight on the other workers may draw after.
+        mu0s, sigma0s = [0.1, 0.2, 0.3], [0.05, 0.1, 0.15]
+        error = kind("cell 2")
+        drawn = []
+        draw = simulation._draw_log_pvalues
+
+        def failing(cfg, rng, reps):
+            drawn.append((cfg.mu0, cfg.sigma0))
+            if (cfg.mu0, cfg.sigma0) == (mu0s[0], sigma0s[2]):
+                raise error
+            return draw(cfg, rng, reps)
+
+        monkeypatch.setattr(simulation, "_draw_log_pvalues", failing)
+        monkeypatch.setattr(simulation.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        with pytest.raises(kind) as raised:
+            run_power_map(make_cfg(reps=1000), mu0s, sigma0s)
+        assert raised.value is error
+        assert (mu0s[0], sigma0s[2]) in drawn and len(drawn) <= 2 + cpus, drawn
+
+    def test_first_reads_in_pool_threads_of_a_fresh_process(self, tmp_path):
+        # A fresh process binds each module's lazy numpy and scipy names on
+        # their first reads, which four pool threads make at once here.
+        code = """
+import json, os, sys
+from pcmeta import simulation
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+sys.setswitchinterval(1e-6)
+cfg = simulation.SimConfig(r0=2, mu0=0.1, sigma0=0.05, reps=1000, seed=43)
+grid = simulation.run_power_map(cfg, [0.1, 0.2], [0.05, 0.1])
+print(json.dumps([[c.mu0, c.sigma0, c.method, c.power.hex()] for c in grid.cells]))
+"""
+        src = Path(simulation.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        grid = run_power_map(make_cfg(reps=1000, seed=43), [0.1, 0.2], [0.05, 0.1])
+        assert json.loads(proc.stdout) == [[c.mu0, c.sigma0, c.method, c.power.hex()]
+                                           for c in grid.cells]
