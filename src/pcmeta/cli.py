@@ -193,16 +193,13 @@ def cmd_exact2x2(args) -> int:
     return 0
 
 
-# Keys a ``simulate`` config may set: the grid, the r0 list, reps and
-# seed, and the SimConfig fields passed through with SimConfig's defaults.
-_SIM_FIELDS = ("n", "r", "alpha", "methods", "sample_sizes")
-_SIM_KEYS = ("mu0_values", "sigma0_values", "r0", "reps", "seed") + _SIM_FIELDS
-
-
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
+    from dataclasses import MISSING, fields, replace
     from . import io as pio
     from .simulation import SimConfig, run_power_map
+    # A config sets the grid, the r0 list, reps, seed and any SimConfig field with a default.
+    settable = tuple(f.name for f in fields(SimConfig) if f.default is not MISSING)
+    known = ("mu0_values", "sigma0_values", "r0", "reps", "seed", *settable)
     _check_out_path(args.out)
     try:
         with open(args.config, encoding="utf-8-sig") as fh:
@@ -213,9 +210,9 @@ def cmd_simulate(args) -> int:
         raise InputValidationError(f"{args.config} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InputValidationError(f"{args.config} must hold a JSON object")
-    unknown = sorted(set(raw) - set(_SIM_KEYS))
+    unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise InputValidationError(f"unknown config keys {unknown}; known: {_SIM_KEYS}")
+        raise InputValidationError(f"unknown config keys {unknown}; known: {known}")
     if "seed" in raw and not getattr(args, "seed_defaulted", False):
         raise InputValidationError(f"{args.config} sets seed; pass no --seed")
     mu0_values = raw.get("mu0_values", [round(0.02 + 0.042 * i, 4) for i in range(10)])
@@ -225,14 +222,10 @@ def cmd_simulate(args) -> int:
     r0_list = raw.get("r0", [2, 4, 6])
     if not isinstance(r0_list, list):
         r0_list = [r0_list]
-    fields = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in raw.items()
-        if k in _SIM_FIELDS
-    }
+    given = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k in settable}
     configs = [
         SimConfig(r0=r0, mu0=1.0, sigma0=1.0, reps=raw.get("reps", 20000),
-                  seed=raw.get("seed", args.seed), **fields)
+                  seed=raw.get("seed", args.seed), **given)
         for r0 in r0_list
     ]
     if not configs:

@@ -385,12 +385,10 @@ class CountTable2x2:
     total_b: int
 
     def __post_init__(self) -> None:
-        for name in ("events_a", "total_a", "events_b", "total_b"):
+        for name, low in (("events_a", 0), ("total_a", 1), ("events_b", 0), ("total_b", 1)):
             v = getattr(self, name)
-            _check_kind(name, v, Integral, low=0)
+            _check_kind(name, v, Integral, low=low, high=2**53)  # each count exact as a double
             object.__setattr__(self, name, int(v))
-        if self.total_a <= 0 or self.total_b <= 0:
-            raise InputValidationError("totals must be positive")
         if self.events_a > self.total_a or self.events_b > self.total_b:
             raise InputValidationError("events cannot exceed totals")
 
@@ -438,7 +436,7 @@ def fisher_exact_2x2(
     a, b = max(lo, min(k - half, mode - far)), min(hi, max(k + half, mode + far))
     slop, gap, log_p = 1e-10 * (math.lgamma(N + 1) + 1.0), 40.0, None
     while log_p is None:
-        log_pmfs = _hypergeom_log_pmfs(K, n, N, a, b)[1]
+        log_pmfs = _hypergeom_log_pmfs(K, n, N, a, b)
         log_obs, moves, tail = log_pmfs[k - a], [0, 0], 0.0
         for side, (v, q) in enumerate((
                 (log_pmfs[0], a * (N - K - n + a) / ((K - a + 1) * (n - a + 1))),

@@ -156,8 +156,8 @@ TEST_NAMES = tuple(_REGIONS)
 
 
 def _decide(region: Callable[[float], RejectionRegion2D], p1, p2, alpha) -> int:
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise InputValidationError(f"p-values outside [0, 1]: {(p1, p2)!r}")
+    _check_kind("p1", p1, Real, low=0, high=1)
+    _check_kind("p2", p2, Real, low=0, high=1)
     return int(bool(region(alpha).contains(p1, p2)))
 
 

@@ -44,22 +44,28 @@ class EnumerationBudgetError(PcmetaError, RuntimeError):
     """Raised when a subset enumeration would exceed its size budget."""
 
 
-_KINDS = {Integral: "an integer", Real: "a number", str: "a string"}
+# Each kind's name, and the built-in types that pass it without the slower ABC check.
+_KINDS = {Integral: ("an integer", (int,)), Real: ("a number", (int, float)),
+          str: ("a string", (str,))}
 
 
-def _check_kind(name: str, value, kind: type, *, listed: bool = False, low=None) -> None:
-    """Raise unless ``value`` is a ``kind`` (a bool is not a number), at
-    least ``low`` if given, or, when ``listed``, a non-empty list, tuple
-    or array of them."""
-    # Only a loaded numpy can have made an array.
-    arrays = (sys.modules["numpy"].ndarray,) if "numpy" in sys.modules else ()
-    if listed and (not isinstance(value, (list, tuple, *arrays)) or len(value) == 0):
-        raise InputValidationError(f"{name} must be a non-empty list, got {value!r}")
-    for v in value if listed else [value]:
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise InputValidationError(f"{name}: {v!r} is not {_KINDS[kind]}")
-        if low is not None and v < low:
+def _check_kind(name: str, value, kind: type, *, listed: bool = False, low=None,
+                high=None) -> None:
+    """Raise unless ``value`` is a ``kind`` (a bool is not a number) in
+    [``low``, ``high``] (either may be None; NaN lies in none), or, when
+    ``listed``, a non-empty list, tuple or array of them."""
+    if listed:  # only a loaded numpy can have made an array
+        arrays = (sys.modules["numpy"].ndarray,) if "numpy" in sys.modules else ()
+        if not isinstance(value, (list, tuple, *arrays)) or len(value) == 0:
+            raise InputValidationError(f"{name} must be a non-empty list, got {value!r}")
+    described, exact = _KINDS[kind]
+    for v in value if listed else (value,):
+        if type(v) not in exact and (isinstance(v, bool) or not isinstance(v, kind)):
+            raise InputValidationError(f"{name}: {v!r} is not {described}")
+        if low is not None and not v >= low:
             raise InputValidationError(f"{name} must be at least {low}, got {v!r}")
+        if high is not None and not v <= high:
+            raise InputValidationError(f"{name} must be at most {high}, got {v!r}")
 
 
 def _check_alpha(alpha) -> None:

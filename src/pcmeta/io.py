@@ -25,10 +25,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .combiners import CountTable2x2, fisher_exact_2x2
-from .errors import InputValidationError
+from .errors import InputValidationError, _check_kind
 from .numerics import ProbValue
 from .partial_conjunction import GroupPartition, PcCurve
 
@@ -85,10 +86,10 @@ class StudyRecord:
             raise InputValidationError(
                 f"{self.study_id}: exactly one of a p-value or a count table is required"
             )
-        if self.p is not None and not (0.0 <= self.p <= 1.0):
-            raise InputValidationError(f"{self.study_id}: p outside [0, 1]: {self.p}")
-        if self.n_sample is not None and self.n_sample <= 0:
-            raise InputValidationError(f"{self.study_id}: n_sample must be positive")
+        if self.p is not None:
+            _check_kind(f"{self.study_id}: p", self.p, Real, low=0, high=1)
+        if self.n_sample is not None:  # its square root weighs the z-rule, so exact as a double
+            _check_kind(f"{self.study_id}: n_sample", self.n_sample, Integral, low=1, high=2**53)
         if not 0.0 < self.sigma < math.inf:
             raise InputValidationError(f"{self.study_id}: sigma must be finite and > 0")
 
@@ -295,8 +296,8 @@ def counterexample_grid_to_csv(grids: Sequence[CounterexamplePowerGrid]) -> str:
     )
 
 
-def format_prob(p: ProbValue, digits: int = 6) -> str:
-    return f"{p.linear:.{digits}g} (log {p.log_value:.{digits}g})"
+def format_prob(p: ProbValue) -> str:
+    return f"{p.linear:.6g} (log {p.log_value:.6g})"
 
 
 def json_dumps(obj) -> str:

@@ -357,38 +357,32 @@ def hypergeom_log_pmf(k: int, K: int, n: int, N: int) -> float:
     support ``max(0, n+K-N) <= k <= min(n, K)``; the one-point case of
     ``_hypergeom_log_pmfs``.
     """
-    return _hypergeom_log_pmfs(K, n, N, k, k)[1][0]
+    return _hypergeom_log_pmfs(K, n, N, k, k)[0]
 
 
-def _hypergeom_log_pmfs(
-    K: int, n: int, N: int, k: int | None = None, last: int | None = None
-) -> tuple[int, list[float]]:
-    """The first k and the log PMF of ``hypergeom_log_pmf`` at each k of
-    the support in turn, or at ``k``..``last`` when they are given.
+def _hypergeom_log_pmfs(K: int, n: int, N: int, k: int, last: int) -> list[float]:
+    """The log PMF of ``hypergeom_log_pmf`` at each of ``k``..``last`` in turn.
 
     The arguments are checked once (integers by ``_check_kind``, then
     ``NumericDomainError`` outside the domain).  Each distinct lgamma
     argument is computed once (``_lgamma_runs``), in ``log_comb``'s order
     of operations, so each value equals the per-point formula bit for bit.
     """
-    named = (("K", K), ("n", n), ("N", N))
-    for name, v in named if k is None else (("k", k), *named):
+    for name, v in (("k", k), ("K", K), ("n", n), ("N", N)):
         _check_kind(name, v, Integral)
         if v < 0:
             raise NumericDomainError(f"{name} must be a nonnegative integer, got {v!r}")
     K, n, N = int(K), int(n), int(N)
     if K > N or n > N:
         raise NumericDomainError(f"need K <= N and n <= N, got K={K}, n={n}, N={N}")
-    lo, hi = max(0, n + K - N), min(n, K)
-    if k is not None:
-        if not lo <= k <= last <= hi:
-            raise NumericDomainError(f"k={k} outside support for K={K}, n={n}, N={N}")
-        lo, hi = int(k), int(last)
+    if not max(0, n + K - N) <= k <= last <= min(n, K):
+        raise NumericDomainError(f"k={k} outside support for K={K}, n={n}, N={N}")
+    lo, hi = int(k), int(last)
     marked, unmarked, whole = math.lgamma(K + 1), math.lgamma(N - K + 1), log_comb(N, n)
     up_k, down_k = _lgamma_runs(lo + 1, K - hi + 1, hi - lo + 1)
     up_u, down_u = _lgamma_runs(N - K - n + lo + 1, n - hi + 1, hi - lo + 1)
-    return lo, [((marked - a - b) + (unmarked - c - d)) - whole
-                for a, b, d, c in zip(up_k, down_k, up_u, down_u)]
+    return [((marked - a - b) + (unmarked - c - d)) - whole
+            for a, b, d, c in zip(up_k, down_k, up_u, down_u)]
 
 
 def _lgamma_runs(up: int, low: int, width: int) -> tuple[list[float], list[float]]:

@@ -25,7 +25,7 @@ from numbers import Integral, Real
 from typing import Callable, Iterator, Sequence
 
 from .combiners import _check_gamma, _needs_rescore
-from .errors import InputValidationError, _check_kind, _LazyNumpy
+from .errors import InputValidationError, _check_alpha, _check_kind, _LazyNumpy
 from .numerics import ProbValue, two_sided_log_p
 
 np = _LazyNumpy(globals())
@@ -131,9 +131,9 @@ def mc_validity(
     """
     _check_kind("reps", reps, Integral, low=10**4)
     _check_kind("seed", seed, Integral, low=0)
-    _check_kind("alphas", alpha_list, Real, listed=True)
-    if any(not (0.0 < a < 1.0) for a in alpha_list):
-        raise InputValidationError("alphas must lie in (0, 1)")
+    _check_kind("alpha", alpha_list, Real, listed=True)
+    for alpha in alpha_list:
+        _check_alpha(alpha)
     # Looked up per call, so that a wrapper installed on the class is seen.
     from_log = ProbValue.from_log
     if not isinstance(rule, BatchedRule):  # its row form: NaN, "score exactly", on every row
@@ -169,9 +169,7 @@ def tpm_mc_cdf(
     _check_kind("reps", reps, Integral, low=10**6)
     _check_kind("seed", seed, Integral, low=0)
     _check_gamma("gamma", gamma)
-    _check_kind("w", w, Real)
-    if not (0.0 <= w <= 1.0):
-        raise InputValidationError(f"w must be in [0, 1], got {w!r}")
+    _check_kind("w", w, Real, low=0, high=1)
     if w == 0.0:
         return 0.0, 0.0
     log_gamma, log_w = math.log(gamma), math.log(w)

@@ -106,9 +106,7 @@ class GroupPartition:
             if len(block) == 0:
                 raise InputValidationError("empty block in partition")
             for idx in block:
-                _check_kind("index", idx, Integral)
-                if not 0 <= idx < self.n:
-                    raise InputValidationError(f"index {idx!r} outside 0..{self.n - 1}")
+                _check_kind("index", idx, Integral, low=0, high=self.n - 1)
                 if idx in seen:
                     raise InputValidationError(f"index {idx} appears in two blocks")
                 seen.add(int(idx))

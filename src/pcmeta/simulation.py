@@ -72,20 +72,17 @@ class SimConfig:
     methods: tuple[str, ...] = METHOD_NAMES
 
     def __post_init__(self) -> None:
-        for name in ("r0", "n", "r"):
-            _check_kind(name, getattr(self, name), Integral)
+        _check_kind("n", self.n, Integral, low=1)
+        _check_kind("r0", self.r0, Integral, low=0, high=self.n)
         _check_kind("reps", self.reps, Integral, low=10**3)
         _check_kind("seed", self.seed, Integral, low=0)
         for name in ("mu0", "sigma0"):
             _check_kind(name, getattr(self, name), Real)
-        _check_kind("sample_sizes", self.sample_sizes, Integral, listed=True)
+        # Up to 2**53 a double holds every integer exactly; the draws scale by sqrt(size).
+        _check_kind("sample_sizes", self.sample_sizes, Integral, listed=True, low=1, high=2**53)
         _check_kind("methods", self.methods, str, listed=True)
-        if self.n < 1 or len(self.sample_sizes) != self.n:
+        if len(self.sample_sizes) != self.n:
             raise InputValidationError("sample_sizes must have length n")
-        if any(s <= 0 for s in self.sample_sizes):
-            raise InputValidationError("sample sizes must be positive")
-        if not (0 <= self.r0 <= self.n):
-            raise InputValidationError(f"r0 must be in 0..{self.n}, got {self.r0}")
         _check_r(self.n, self.r)
         if not (0 < self.mu0 < math.inf and 0 < self.sigma0 < math.inf):
             raise InputValidationError("mu0 and sigma0 must be positive and finite")

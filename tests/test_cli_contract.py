@@ -22,6 +22,8 @@ CONFIGS = {
     "cfg_inf_mu0": {"mu0_values": [float("inf")], "sigma0_values": [0.1], "reps": 1000},
     "cfg_seed": {"mu0_values": [0.1], "sigma0_values": [0.1], "r0": [1], "reps": 1000,
                  "seed": 5},
+    "cfg_huge_sizes": {"mu0_values": [0.1], "sigma0_values": [0.1], "r0": [1], "reps": 1000,
+                       "sample_sizes": [2**64] * 8},
 }
 
 CSVS = {
@@ -31,13 +33,26 @@ CSVS = {
     "underflow": "study_id,p\na,1e-400\nb,0.3\n",
     "bad_p": "study_id,p\na,nan\nb,0.3\n",
     "edge": "study_id,p\na,1\nb,0.3\n",
+    "huge_n": f"study_id,p,n_sample\na,0.2,{10**400}\nb,0.3,10\n",
+    "huge_counts": f"study_id,events_a,total_a,events_b,total_b\na,1,{10**400},2,10\n",
 }
 
 OUT = ["--out", "{out}"]
 TPM = ["--l", "3", "--gamma", "0.5", "--w", "0.1"]
 VALIDITY = ["oracle", "validity", "--reps", "10000"]
 
+# Integers past 2**53, the range in which a double holds every integer
+# exactly, are refused before the double arithmetic they would reach.
+PAST_2_53 = [
+    ["pc", "{huge_n}", "--method", "stouffer", "--weights-from", "n_sample"],
+    ["combine", "{huge_n}", "--method", "stouffer", "--weights-from", "n_sample"],
+    ["exact2x2", "{huge_counts}"],
+    ["pc", "{huge_counts}"],
+    ["simulate", "{cfg_huge_sizes}", *OUT],
+]
+
 CASES = [
+    *PAST_2_53,
     # combine
     ["combine", "{empty}"],
     ["combine", "{header}"],
@@ -173,6 +188,17 @@ def test_refused_with_one_json_line(argv, paths, capsys):
     assert len(lines) == 1, lines
     assert set(json.loads(lines[0])) == {"error", "message"}
     assert not os.path.exists(paths["out"])
+
+
+@pytest.mark.parametrize("argv", PAST_2_53, ids=lambda argv: " ".join(argv))
+def test_integers_past_2_53_exit_2_before_any_draw(argv, paths, capsys, monkeypatch):
+    from pcmeta import simulation
+
+    draws = []
+    monkeypatch.setattr(simulation, "_draw_log_pvalues", lambda *args: draws.append(args))
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InputValidationError"
+    assert draws == []
 
 
 # Argument vectors that argparse itself refuses: a bad int or float, a

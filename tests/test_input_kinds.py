@@ -11,10 +11,19 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pcmeta.combiners import CombinerSpec, combine_stouffer_weighted, combine_tpm
-from pcmeta.counterexample import region_phi, region_phi_prime, region_phi_tilde
+from pcmeta.combiners import CombinerSpec, CountTable2x2, combine_stouffer_weighted, combine_tpm
+from pcmeta.counterexample import (
+    phi,
+    phi_prime,
+    phi_tilde,
+    region_phi,
+    region_phi_prime,
+    region_phi_tilde,
+)
 from pcmeta.errors import InputValidationError, NumericDomainError
+from pcmeta.io import StudyRecord
 from pcmeta.numerics import ProbValue, chisq_sf
+from pcmeta.oracle import NullConfig, mc_validity, tpm_mc_cdf
 from pcmeta.partial_conjunction import (
     GroupPartition,
     PcCurve,
@@ -24,6 +33,7 @@ from pcmeta.partial_conjunction import (
     weighted_gbhpc_rows,
     weighted_subset_combiner,
 )
+from pcmeta.simulation import SimConfig
 
 PS = [ProbValue.from_linear(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]
 FISHER = CombinerSpec("fisher")
@@ -35,6 +45,7 @@ ALPHA_TAKERS = {
     "region_phi": region_phi,
     "region_phi_prime": region_phi_prime,
     "region_phi_tilde": region_phi_tilde,
+    "mc_validity": lambda a: mc_validity(lambda ps: ps[0], NullConfig(2), [a], 10**4, 0),
 }
 
 
@@ -149,3 +160,57 @@ def test_chisq_sf_numpy_dof_same_bits(x):
     for dof in (np.int64(4), np.int32(8)):
         got, want = chisq_sf(x, dof), chisq_sf(x, int(dof))
         assert (got.linear, got.log_value) == (want.linear, want.log_value)
+
+
+def sim_config(**changed):
+    return SimConfig(**{"r0": 1, "mu0": 0.5, "sigma0": 0.5, "reps": 1000, "seed": 0, **changed})
+
+
+EXACT = 2**53  # the largest range in which a double holds every integer
+BELOW_0, ABOVE_1 = -5e-324, math.nextafter(1.0, 2.0)
+
+# Each parameter under a bound of the kind rule: a call that passes it a
+# value, the name the refusal starts with, and its bounds.
+BOUNDED = {
+    "SimConfig.n": (lambda v: sim_config(n=v, r=1, sample_sizes=(100,)), "n", 1, None),
+    "SimConfig.r0": (lambda v: sim_config(r0=v), "r0", 0, 8),
+    "SimConfig.sample_sizes": (
+        lambda v: sim_config(sample_sizes=(100,) * 7 + (v,)), "sample_sizes", 1, EXACT),
+    "CountTable2x2.events_a": (lambda v: CountTable2x2(v, EXACT, 1, 10), "events_a", 0, EXACT),
+    "CountTable2x2.total_a": (lambda v: CountTable2x2(0, v, 1, 10), "total_a", 1, EXACT),
+    "CountTable2x2.events_b": (lambda v: CountTable2x2(1, 10, v, EXACT), "events_b", 0, EXACT),
+    "CountTable2x2.total_b": (lambda v: CountTable2x2(1, 10, 0, v), "total_b", 1, EXACT),
+    "StudyRecord.p": (lambda v: StudyRecord(study_id="a", p=v), "a: p", 0.0, 1.0),
+    "StudyRecord.n_sample": (
+        lambda v: StudyRecord(study_id="a", p=0.3, n_sample=v), "a: n_sample", 1, EXACT),
+    "GroupPartition index": (
+        lambda v: GroupPartition(3, ((v,), tuple(i for i in range(3) if i != v))), "index", 0, 2),
+    "tpm_mc_cdf.w": (lambda v: tpm_mc_cdf(3, 0.5, v, 10**6, 0), "w", 0.0, 1.0),
+    "phi.p1": (lambda v: phi(v, 0.5, 0.05), "p1", 0.0, 1.0),
+    "phi_prime.p2": (lambda v: phi_prime(0.5, v, 0.05), "p2", 0.0, 1.0),
+    "phi_tilde.p1": (lambda v: phi_tilde(v, 0.5, 0.05), "p1", 0.0, 1.0),
+}
+
+
+def refused_values(low, high):
+    """The wrong kind, a bool, NaN for a number, and one step past each bound."""
+    if isinstance(low, float):
+        return ["0.5", True, math.nan, BELOW_0, *([ABOVE_1] if high is not None else [])]
+    return ["1", 1.0, True, low - 1, *([high + 1] if high is not None else [])]
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, _, low, high) in BOUNDED.items()
+    for value in refused_values(low, high)
+])
+def test_bounded_parameter_refuses_kind_and_range(name, value):
+    taker, prefix, _, _ = BOUNDED[name]
+    with pytest.raises(InputValidationError, match=f"^{prefix}[: ]"):
+        taker(value)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_bounded_parameter_accepts_its_bounds(name):
+    taker, _, low, high = BOUNDED[name]
+    for value in (low, high) if high is not None else (low,):
+        taker(value)

@@ -430,8 +430,9 @@ class TestHypergeom:
         lambda N: st.tuples(st.integers(0, N), st.integers(0, N), st.just(N))))
     def test_support_equals_per_point_formula(self, triple):
         K, n, N = triple
-        lo, values = numerics._hypergeom_log_pmfs(K, n, N)
-        assert lo == max(0, n + K - N) and len(values) == min(n, K) - lo + 1
+        lo, hi = max(0, n + K - N), min(n, K)
+        values = numerics._hypergeom_log_pmfs(K, n, N, lo, hi)
+        assert len(values) == hi - lo + 1
         for k, value in enumerate(values, lo):
             per_point = log_comb(K, k) + log_comb(N - K, n - k) - log_comb(N, n)
             assert value == per_point == hypergeom_log_pmf(k, K, n, N)
